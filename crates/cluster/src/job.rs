@@ -448,6 +448,20 @@ mod tests {
         s
     }
 
+    /// Execute under a trace session bound to this thread alone: a global
+    /// session would also record sibling tests' executors.
+    fn execute_traced(
+        plan: &ScfPlan,
+        spec: &JobSpec,
+    ) -> (JobResult, vpp_substrate::trace::TraceReport) {
+        let session = vpp_substrate::trace::local_session(1 << 16);
+        let res = {
+            let _bind = session.bind();
+            execute(plan, spec, &NetworkModel::perlmutter())
+        };
+        (res, session.finish())
+    }
+
     #[test]
     fn single_node_job_produces_traces() {
         let plan = si_plan(64, 1);
@@ -618,9 +632,7 @@ mod tests {
     #[test]
     fn executor_emits_phase_spans_matching_the_plan() {
         let plan = si_plan(64, 1);
-        let session = vpp_substrate::trace::session(1 << 16);
-        let res = execute(&plan, &quick_spec(1), &NetworkModel::perlmutter());
-        let report = session.finish();
+        let (res, report) = execute_traced(&plan, &quick_spec(1));
         assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
 
         let spans = report.spans();
@@ -664,9 +676,7 @@ mod tests {
     #[test]
     fn phase_energy_attribution_sums_to_job_energy() {
         let plan = si_plan(64, 1);
-        let session = vpp_substrate::trace::session(1 << 16);
-        let res = execute(&plan, &quick_spec(1), &NetworkModel::perlmutter());
-        let report = session.finish();
+        let (res, report) = execute_traced(&plan, &quick_spec(1));
         let spans = report.spans();
         let phases: Vec<_> = spans
             .iter()
@@ -694,11 +704,9 @@ mod tests {
     #[test]
     fn phase_slowdown_stretches_only_the_target_phase() {
         let plan = si_plan(64, 1);
-        let net = NetworkModel::perlmutter();
         let run_traced = |spec: &JobSpec| {
-            let session = vpp_substrate::trace::session(1 << 16);
-            let res = execute(&plan, spec, &net);
-            (res, session.finish().aggregate())
+            let (res, report) = execute_traced(&plan, spec);
+            (res, report.aggregate())
         };
         let (base, base_agg) = run_traced(&quick_spec(1));
         let mut spec = quick_spec(1);
@@ -726,11 +734,9 @@ mod tests {
     #[test]
     fn collective_slowdown_stretches_only_communication() {
         let plan = si_plan(64, 2);
-        let net = NetworkModel::perlmutter();
         let run_traced = |spec: &JobSpec| {
-            let session = vpp_substrate::trace::session(1 << 16);
-            let res = execute(&plan, spec, &net);
-            (res, session.finish().aggregate())
+            let (res, report) = execute_traced(&plan, spec);
+            (res, report.aggregate())
         };
         let (base, base_agg) = run_traced(&quick_spec(2));
         let mut spec = quick_spec(2);
@@ -785,9 +791,7 @@ mod tests {
         // power traces within 2% — the paper's headline quantity, read
         // from a single `/metrics` scrape instead of a trace download.
         let plan = si_plan(256, 1);
-        let session = vpp_substrate::trace::session(1 << 16);
-        let res = execute(&plan, &quick_spec(1), &NetworkModel::perlmutter());
-        let report = session.finish();
+        let (res, report) = execute_traced(&plan, &quick_spec(1));
         let hist = report
             .histograms
             .get("power_watts")
@@ -819,9 +823,7 @@ mod tests {
     #[test]
     fn phase_histogram_matches_phase_span_count() {
         let plan = si_plan(64, 1);
-        let session = vpp_substrate::trace::session(1 << 16);
-        let _ = execute(&plan, &quick_spec(1), &NetworkModel::perlmutter());
-        let report = session.finish();
+        let (_, report) = execute_traced(&plan, &quick_spec(1));
         let hist = report
             .histograms
             .get("phase_sim_seconds")

@@ -16,8 +16,7 @@ use crate::experiments::{f, render_table};
 use crate::protocol::{self, Measured, RunConfig, StudyContext};
 use vpp_cluster::{execute, JobSpec};
 use vpp_substrate::bench::TraceBaseline;
-use vpp_substrate::span;
-use vpp_substrate::trace;
+use vpp_substrate::{pool, span, trace};
 
 /// Bench-report group (`BENCH_results.json`) holding the stored baselines.
 pub const BASELINE_GROUP: &str = "trace_baselines";
@@ -52,13 +51,20 @@ pub fn baseline_cfg() -> RunConfig {
 /// [`TraceBaseline`] — the re-run side of `vpp trace diff`, and the same
 /// rollup `Harness::bench_traced` stores.
 ///
+/// The session is bound to the calling thread and the repeats run on it
+/// ([`pool::serial`]), so instrumented work elsewhere in the process
+/// cannot leak into the baseline.
+///
 /// # Panics
 /// If the session overflows [`SESSION_CAPACITY`]: a truncated baseline
 /// would silently bias every later comparison.
 #[must_use]
 pub fn capture(bench: &Benchmark, cfg: &RunConfig, ctx: &StudyContext) -> (Measured, TraceBaseline) {
-    let session = trace::session(SESSION_CAPACITY);
-    let m = protocol::measure(bench, cfg, ctx);
+    let session = trace::local_session(SESSION_CAPACITY);
+    let m = {
+        let _bind = session.bind();
+        pool::serial(|| protocol::measure(bench, cfg, ctx))
+    };
     let report = session.finish();
     assert_eq!(
         report.dropped, 0,

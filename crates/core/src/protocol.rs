@@ -425,8 +425,14 @@ mod tests {
         let mut ctx = StudyContext::quick();
         ctx.sampler = Sampler::new(0.25, 0.7, 0xBAD);
         ctx.min_coverage = 0.9; // unreachable: forces re-collections
-        let session = vpp_substrate::trace::session(1 << 20);
-        let m = measure(&bench, &RunConfig::nodes(1), &ctx);
+
+        // Bound to this thread, repeats inline: a global session would
+        // also count sibling tests' re-collections.
+        let session = vpp_substrate::trace::local_session(1 << 20);
+        let m = {
+            let _bind = session.bind();
+            vpp_substrate::pool::serial(|| measure(&bench, &RunConfig::nodes(1), &ctx))
+        };
         let report = session.finish();
         assert!(m.quality_flagged);
         assert_eq!(report.counters["protocol.recollections"], 2);

@@ -177,64 +177,59 @@ pub fn simulate(spec: &FleetSpec, requests: &[JobRequest], network: &NetworkMode
 
         let mut used_nodes: usize = running.iter().map(|r| r.nodes).sum();
         let mut used_power: f64 = running.iter().map(|r| r.est_power_w).sum();
-        let mut admitted_any = true;
-        while admitted_any {
-            admitted_any = false;
-            let mut i = 0;
-            while i < pending.len() {
-                let req = &requests[pending[i]];
-                let power = req.est_node_power_w * req.nodes as f64;
-                let fits_budget = spec
-                    .power_budget_w
-                    .is_none_or(|b| used_power + power <= b + 1e-9);
-                if req.arrival_s <= t + 1e-9
-                    && used_nodes + req.nodes <= spec.nodes
-                    && fits_budget
-                {
-                    // Execute the job for real, starting now.
-                    let job_spec = JobSpec {
-                        nodes: req.nodes,
-                        gpu_power_cap_w: req.cap_w,
-                        seed: spec.seed ^ (req.id.wrapping_mul(0x9E37_79B9)),
-                        start_s: t,
-                        init_host_s: 6.0,
-                        straggler: None,
-                        os_jitter: 0.0,
-                        phase_slowdown: None,
-                        collective_slowdown: None,
-                    };
-                    let result = execute(&req.plan, &job_spec, network);
-                    let end_s = t + result.runtime_s;
-                    let energy_j = result.energy_j();
-                    records.push(JobRecord {
-                        id: req.id,
-                        name: req.name.clone(),
-                        nodes: req.nodes,
-                        arrival_s: req.arrival_s,
-                        start_s: t,
-                        end_s,
-                        energy_j,
-                        mean_node_power_w: energy_j
-                            / result.runtime_s.max(f64::MIN_POSITIVE)
-                            / req.nodes as f64,
-                    });
-                    for c in result.node_traces {
-                        node_traces.push(c.node);
-                    }
-                    busy_changes.push((t, req.nodes as i64));
-                    busy_changes.push((end_s, -(req.nodes as i64)));
-                    running.push(Running {
-                        end_s,
-                        nodes: req.nodes,
-                        est_power_w: power,
-                    });
-                    used_nodes += req.nodes;
-                    used_power += power;
-                    pending.remove(i);
-                    admitted_any = true;
-                } else {
-                    i += 1;
+        // One pass admits everything that fits: within a wake capacity only
+        // shrinks and the arrived set is fixed, so a job skipped once stays
+        // unfit until the next event.
+        let mut i = 0;
+        while i < pending.len() {
+            let req = &requests[pending[i]];
+            let power = req.est_node_power_w * req.nodes as f64;
+            let fits_budget = spec
+                .power_budget_w
+                .is_none_or(|b| used_power + power <= b + 1e-9);
+            if req.arrival_s <= t + 1e-9 && used_nodes + req.nodes <= spec.nodes && fits_budget {
+                // Execute the job for real, starting now.
+                let job_spec = JobSpec {
+                    nodes: req.nodes,
+                    gpu_power_cap_w: req.cap_w,
+                    seed: spec.seed ^ (req.id.wrapping_mul(0x9E37_79B9)),
+                    start_s: t,
+                    init_host_s: 6.0,
+                    straggler: None,
+                    os_jitter: 0.0,
+                    phase_slowdown: None,
+                    collective_slowdown: None,
+                };
+                let result = execute(&req.plan, &job_spec, network);
+                let end_s = t + result.runtime_s;
+                let energy_j = result.energy_j();
+                records.push(JobRecord {
+                    id: req.id,
+                    name: req.name.clone(),
+                    nodes: req.nodes,
+                    arrival_s: req.arrival_s,
+                    start_s: t,
+                    end_s,
+                    energy_j,
+                    mean_node_power_w: energy_j
+                        / result.runtime_s.max(f64::MIN_POSITIVE)
+                        / req.nodes as f64,
+                });
+                for c in result.node_traces {
+                    node_traces.push(c.node);
                 }
+                busy_changes.push((t, req.nodes as i64));
+                busy_changes.push((end_s, -(req.nodes as i64)));
+                running.push(Running {
+                    end_s,
+                    nodes: req.nodes,
+                    est_power_w: power,
+                });
+                used_nodes += req.nodes;
+                used_power += power;
+                pending.remove(i);
+            } else {
+                i += 1;
             }
         }
 

@@ -13,13 +13,12 @@
 //! * [`run`] — the campaign simulator behind any [`CapPolicy`]. With no
 //!   site budget, partitions are independent event-driven DES runs
 //!   ([`Scheduler::run_with`]) fanned out over the `vpp_substrate` pool in
-//!   shards and merged deterministically; this path is byte-identical to
-//!   the superseded enum engine (retained as [`reference::run_enum`], the
-//!   `policy_equivalence` suite pins it). With `site_budget_w` set, the
+//!   shards and merged deterministically. With `site_budget_w` set, the
 //!   partitions couple through a [`crate::site::SiteBudget`] ledger and
 //!   run as one global-backfill event loop ([`crate::site::run_site`]).
-//!   Either way the merged [`ScheduleOutcome`] is byte-identical for any
-//!   `shards >= 1` (the campaign determinism tests pin both paths).
+//!   Both paths run the scheduler's one event loop, and either way the
+//!   merged [`ScheduleOutcome`] is byte-identical for any `shards >= 1`
+//!   (the campaign determinism tests pin both paths).
 //! * [`CampaignOutcome`] — campaign-level outputs: merged spans, exact
 //!   system peak power, throughput, energy-to-solution, the Wattlytics
 //!   TCO objective in dollars, and slowdown distributions (raw per-job
@@ -29,9 +28,9 @@
 //!   campaign`, and the `repro campaign_contention` section
 //!   ([`contention_report`]).
 
-use crate::policy::{CapPolicy, ClassAware, SiteView, SweetSpot, TcoAware, TcoPrices, Uncapped};
+use crate::policy::{CapPolicy, ClassAware, SweetSpot, TcoAware, TcoPrices, Uncapped};
 use crate::scheduler::{BatchJob, CapResponse, ScheduleOutcome, Scheduler, WorkloadClass};
-use crate::site;
+use crate::site::{self, SiteBudget, SiteRun};
 use std::collections::BTreeMap;
 use std::fmt;
 use vpp_stats::ViolinStats;
@@ -295,33 +294,61 @@ impl CampaignOutcome {
 /// global-backfill event loop ([`crate::site::run_site`]). In both modes
 /// the shard count affects wall-clock only, never the outcome: the
 /// independent path merges by `(start, id)`, the coupled path is a pure
-/// function of `(spec, policy)`.
+/// function of `(spec, policy)`. The policy is asked once per job.
 ///
 /// # Panics
 /// If `shards == 0`, or a generated job cannot fit its partition (see
-/// [`Scheduler::job_demand`]; impossible with the default machine shape),
-/// or the site budget is too tight for some job to ever start.
+/// [`Scheduler::job_demand_with`]; impossible with the default machine
+/// shape), or the site budget is too tight for some job to ever start.
 #[must_use]
 pub fn run(spec: &CampaignSpec, policy: &dyn CapPolicy, shards: usize) -> CampaignOutcome {
     assert!(shards > 0, "need at least one shard");
     let jobs = spec.generate();
-    let sched = spec.scheduler();
     trace::counter("campaign.jobs", jobs.len() as u64);
 
     if spec.site_budget_w.is_some() {
-        let sr = site::run_site(spec, &jobs, policy);
-        return summarise(spec, &jobs, &sr.demand, std::slice::from_ref(&sr.outcome), sr.backfilled);
+        let SiteRun {
+            outcome,
+            demand,
+            backfilled,
+            ..
+        } = site::run_site(spec, &jobs, policy);
+        return summarise(spec, &jobs, &demand, vec![outcome], backfilled);
     }
 
-    let outcomes = run_partitioned(spec, route(spec, &jobs), shards, |queue| {
-        sched.run_with(queue, policy)
-    });
-    let slack = SiteView::slack();
-    let demand: Vec<(f64, f64)> = jobs
-        .iter()
-        .map(|j| sched.job_demand_with(j, policy, &slack))
-        .collect();
-    summarise(spec, &jobs, &demand, &outcomes, 0)
+    // Fan contiguous chunks of partitions out over the pool; flattening
+    // restores partition order, so the result is independent of the chunk
+    // width.
+    let sched = spec.scheduler();
+    let queues = route(spec, &jobs);
+    let chunk = spec.partitions.div_ceil(shards);
+    let chunks: Vec<(usize, &[Vec<BatchJob>])> = queues.chunks(chunk).enumerate().collect();
+    let runs: Vec<SiteRun> = par_map(chunks, |(c, chunk_queues)| {
+        chunk_queues
+            .iter()
+            .enumerate()
+            .map(|(k, queue)| {
+                let _g = span!(
+                    "campaign.partition",
+                    partition = (c * chunk + k) as u64,
+                    jobs = queue.len() as u64
+                );
+                sched.simulate(1, SiteBudget::unbounded(), queue, policy)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+
+    let mut demand = vec![(f64::NAN, f64::NAN); jobs.len()];
+    for (queue, run) in queues.iter().zip(&runs) {
+        for (job, &d) in queue.iter().zip(&run.demand) {
+            demand[job.id as usize] = d;
+        }
+    }
+    let outcomes = runs.into_iter().map(|r| r.outcome).collect();
+    summarise(spec, &jobs, &demand, outcomes, 0)
 }
 
 /// Route jobs to their home partitions in submission order.
@@ -333,54 +360,20 @@ fn route(spec: &CampaignSpec, jobs: &[BatchJob]) -> Vec<Vec<BatchJob>> {
     queues
 }
 
-/// Fan per-partition queues out over the pool in contiguous shard chunks;
-/// flattening restores partition order, so the result is independent of
-/// the chunk width. Shared by the trait path and the enum reference.
-fn run_partitioned<F>(
-    spec: &CampaignSpec,
-    queues: Vec<Vec<BatchJob>>,
-    shards: usize,
-    sim: F,
-) -> Vec<ScheduleOutcome>
-where
-    F: Fn(&[BatchJob]) -> ScheduleOutcome + Sync,
-{
-    let chunk = spec.partitions.div_ceil(shards);
-    let chunks: Vec<Vec<(usize, Vec<BatchJob>)>> = queues
-        .into_iter()
-        .enumerate()
-        .collect::<Vec<_>>()
-        .chunks(chunk)
-        .map(<[(usize, Vec<BatchJob>)]>::to_vec)
-        .collect();
-    par_map(chunks, |chunk| {
-        chunk
-            .into_iter()
-            .map(|(p, queue)| {
-                let _g = span!(
-                    "campaign.partition",
-                    partition = p as u64,
-                    jobs = queue.len() as u64
-                );
-                sim(&queue)
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Merge outcomes and derive the campaign distributions from the per-job
-/// `(runtime, power)` demands the engine actually ran (policy-free: the
-/// enum reference, the trait path and the site engine all land here).
+/// `(runtime, power)` demands the engine actually ran. Takes the outcomes
+/// by value so their span lists are freed (or, for one outcome, reused)
+/// before the peak sweep allocates.
 fn summarise(
     spec: &CampaignSpec,
     jobs: &[BatchJob],
     demand: &[(f64, f64)],
-    outcomes: &[ScheduleOutcome],
+    outcomes: Vec<ScheduleOutcome>,
     backfilled: usize,
 ) -> CampaignOutcome {
+    // Mean system power over the campaign: partition power-time integrals
+    // stacked over the shared [0, makespan] window.
+    let integral: f64 = outcomes.iter().map(|o| o.mean_power_w * o.makespan_s).sum();
     let spans = merge_spans(outcomes);
     let makespan = spans.iter().map(|s| s.2).fold(0.0, f64::max);
 
@@ -401,9 +394,6 @@ fn summarise(
         peak = peak.max(load);
     }
 
-    // Mean system power over the campaign: partition power-time integrals
-    // stacked over the shared [0, makespan] window.
-    let integral: f64 = outcomes.iter().map(|o| o.mean_power_w * o.makespan_s).sum();
     let merged = ScheduleOutcome {
         makespan_s: makespan,
         job_spans: spans,
@@ -438,7 +428,10 @@ fn summarise(
 /// Deterministic k-way merge of per-partition span lists by `(start, id)`
 /// — each input list is already sorted that way, so a cursor scan yields
 /// the globally sorted sequence without re-sorting.
-fn merge_spans(outcomes: &[ScheduleOutcome]) -> Vec<(u64, f64, f64)> {
+fn merge_spans(mut outcomes: Vec<ScheduleOutcome>) -> Vec<(u64, f64, f64)> {
+    if outcomes.len() == 1 {
+        return outcomes.pop().expect("one outcome").job_spans;
+    }
     let mut cursors = vec![0usize; outcomes.len()];
     let total: usize = outcomes.iter().map(|o| o.job_spans.len()).sum();
     let mut merged = Vec::with_capacity(total);
@@ -460,45 +453,6 @@ fn merge_spans(outcomes: &[ScheduleOutcome]) -> Vec<(u64, f64, f64)> {
         merged.push(span);
     }
     merged
-}
-
-pub mod reference {
-    //! The superseded closed-enum campaign path, retained as the semantic
-    //! reference for the [`CapPolicy`](super::CapPolicy) redesign: the
-    //! `policy_equivalence` differential suite runs both on the same
-    //! specs and demands byte-identical [`CampaignOutcome`]s whenever the
-    //! site budget is slack (i.e. absent — the enum engine predates the
-    //! site ledger and never had one).
-
-    use super::{route, run_partitioned, summarise, CampaignOutcome, CampaignSpec};
-    use crate::scheduler::Policy;
-    use vpp_substrate::trace;
-
-    /// Run the campaign under the closed [`Policy`] enum, exactly as
-    /// before the trait redesign: per-partition [`Scheduler::run`]
-    /// (enum-dispatched caps), shard fan-out, deterministic merge.
-    ///
-    /// [`Scheduler::run`]: crate::scheduler::Scheduler::run
-    ///
-    /// # Panics
-    /// If `shards == 0`, a job cannot fit its partition, or the spec
-    /// carries a site budget (the enum engine has no site ledger).
-    #[must_use]
-    pub fn run_enum(spec: &CampaignSpec, policy: Policy, shards: usize) -> CampaignOutcome {
-        assert!(shards > 0, "need at least one shard");
-        assert!(
-            spec.site_budget_w.is_none(),
-            "the enum reference predates the site ledger"
-        );
-        let jobs = spec.generate();
-        let sched = spec.scheduler();
-        trace::counter("campaign.jobs", jobs.len() as u64);
-        let outcomes = run_partitioned(spec, route(spec, &jobs), shards, |queue| {
-            sched.run(queue, policy)
-        });
-        let demand: Vec<(f64, f64)> = jobs.iter().map(|j| sched.job_demand(j, policy)).collect();
-        summarise(spec, &jobs, &demand, &outcomes, 0)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -300,8 +300,13 @@ mod tests {
     fn control_cycles_are_traced() {
         let ctrl = Controller::new(4500.0);
         let mut jobs = vec![hungry(1), hungry(2), hungry(3)];
-        let session = vpp_substrate::trace::session(4096);
-        let (cycles, power) = ctrl.converge(&mut jobs, 20);
+        // Bound to this thread: a global session would also count sibling
+        // tests' control cycles.
+        let session = vpp_substrate::trace::local_session(4096);
+        let (cycles, power) = {
+            let _bind = session.bind();
+            ctrl.converge(&mut jobs, 20)
+        };
         let report = session.finish();
         assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
         assert_eq!(report.counters["powercap.cycles"] as usize, cycles);

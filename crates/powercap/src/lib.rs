@@ -9,14 +9,14 @@
 //!   §VI: classify jobs by workload type, cap VASP-like jobs at 50 % TDP
 //!   (which costs <10 % performance), and reallocate the spared power to
 //!   admit more jobs under a fixed system power budget, deciding within
-//!   30-second scheduling cycles. Event-driven on the calendar queue.
-//! * [`policy`] — the open [`CapPolicy`] trait the campaign layer
-//!   schedules through: the enum trio reimplemented on the trait (pinned
-//!   byte-identical by the `policy_equivalence` suite) plus the
-//!   TCO-priced [`TcoAware`] policy, all able to observe the shared site
-//!   ledger at decision time.
-//! * [`site`] — the site-coupled engine: a [`SiteBudget`] ledger of
-//!   committed watts across partitions and a single global-backfill DES
+//!   30-second scheduling cycles. One event-driven loop on the calendar
+//!   queue serves a single partition and a whole coupled site alike.
+//! * [`policy`] — the [`CapPolicy`] trait every scheduling path asks once
+//!   per job: uncapped, fixed, class-aware, sweet-spot and the TCO-priced
+//!   [`TcoAware`] policy, all able to observe the shared site ledger at
+//!   decision time.
+//! * [`site`] — site coupling: a [`SiteBudget`] ledger of committed watts
+//!   across partitions and the global-backfill entry point
 //!   ([`site::run_site`]) for campaigns under one site-wide envelope.
 //! * [`campaign`] — datacenter-scale what-if campaigns: thousands of
 //!   seeded heterogeneous jobs over partitioned machines, shard-parallel
@@ -33,5 +33,5 @@ pub use campaign::{CampaignOutcome, CampaignSpec, Distribution};
 pub use controller::{ControlledJob, Controller};
 pub use nvidia_smi::{GpuPowerInfo, NvidiaSmi, SmiError};
 pub use policy::{CapPolicy, PolicyCtx, SiteView, TcoAware, TcoPrices};
-pub use scheduler::{BatchJob, CapResponse, Policy, ScheduleOutcome, Scheduler, WorkloadClass};
+pub use scheduler::{BatchJob, CapResponse, ScheduleOutcome, Scheduler, WorkloadClass};
 pub use site::{SiteBudget, SiteRun};

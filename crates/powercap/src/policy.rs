@@ -1,21 +1,13 @@
-//! The open policy surface of the campaign scheduler.
+//! The policy surface of the scheduler.
 //!
-//! PR 6's [`crate::scheduler::Policy`] enum was closed: adding a policy
-//! meant editing the scheduler itself, and no policy could see anything
-//! beyond the one job it was capping. This module redesigns that surface
-//! as the [`CapPolicy`] trait: a policy is any object that, given a job,
-//! the scheduler's loss budget and a [`SiteView`] of the shared site
-//! ledger (committed watts across every partition, maintained by the DES
-//! at job start/finish events), decides the GPU cap the job runs under.
-//!
-//! The enum's trio — [`Uncapped`], [`ClassAware`], [`SweetSpot`] — is
-//! reimplemented here with the *identical* arithmetic, and the
-//! `policy_equivalence` differential suite pins the trait-based campaign
-//! byte-identical to the enum-based reference whenever the site budget is
-//! slack. [`TcoAware`] is the first policy only the trait can express
-//! cleanly: it prices each candidate cap in dollars (energy at a $/kWh
-//! tariff plus node occupancy at a $/node-hour rate, the Wattlytics
-//! objective) and picks the cheapest.
+//! A policy is any [`CapPolicy`] object that, given a job, the
+//! scheduler's loss budget and a [`SiteView`] of the shared site ledger
+//! (committed watts across every partition, maintained by the DES at job
+//! start/finish events), decides the GPU cap the job runs under.
+//! [`Uncapped`], [`FixedCap`], [`ClassAware`] and [`SweetSpot`] cover the
+//! paper's comparison; [`TcoAware`] prices each candidate cap in dollars
+//! (energy at a $/kWh tariff plus node occupancy at a $/node-hour rate,
+//! the Wattlytics objective) and picks the cheapest.
 
 use crate::scheduler::BatchJob;
 
@@ -33,9 +25,7 @@ pub struct SiteView {
 }
 
 impl SiteView {
-    /// The slack view: no site cap, nothing committed. This is what
-    /// per-partition scheduling (no `--site-budget`) presents, and the
-    /// view under which the trio must reproduce the enum bit-for-bit.
+    /// The slack view: no site cap, nothing committed.
     #[must_use]
     pub fn slack() -> Self {
         Self {
@@ -77,12 +67,12 @@ pub struct PolicyCtx {
 /// * `cap_for` returns `Some(cap_w)` to run the job capped, `None` to run
 ///   it at the top of its own measured support
 ///   ([`crate::scheduler::CapResponse::uncapped`]).
-/// * The DES calls `cap_for` at *admission attempts*, with the live
-///   [`SiteView`]; a job skipped this wake is re-asked later, so a
-///   site-observing policy may answer differently as load moves. Given
-///   equal inputs the answer must be equal — policies are pure functions
-///   of `(job, ctx, site)`, which is what keeps campaigns byte-
-///   deterministic across shard counts and repeated runs.
+/// * The DES asks once per job, at the first admission wake at or after
+///   its arrival, with the live [`SiteView`], and keeps the answer while
+///   the job waits. Given equal inputs the answer must be equal —
+///   policies are pure functions of `(job, ctx, site)`, which is what
+///   keeps campaigns byte-deterministic across shard counts and repeated
+///   runs.
 /// * Implementations must be `Sync`: partitions fan out over the
 ///   substrate pool and share one policy object.
 pub trait CapPolicy: Sync {
@@ -261,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn trio_matches_the_enum_arithmetic() {
+    fn named_policies_pick_their_caps() {
         let job = hungry_job(2);
         let site = SiteView::slack();
         assert_eq!(Uncapped.cap_for(&job, &ctx(), &site), None);

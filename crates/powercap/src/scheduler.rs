@@ -8,19 +8,23 @@
 //!
 //! ## Simulation engine
 //!
-//! [`Scheduler::run`] is event-driven: job finishes live in a
+//! One event loop serves every scheduling path: [`Scheduler::run_with`]
+//! runs it over one partition with an unbounded site ledger, and
+//! [`crate::site::run_site`] over N partitions sharing one
+//! [`SiteBudget`] with global backfill. Job finishes live in a
 //! [`vpp_sim::EventQueue`] and the full admission pass (retire finished
-//! jobs, re-derive free nodes/power, scan the FIFO queue) runs only at
+//! jobs, re-derive free nodes/power, scan the waiting jobs) runs only at
 //! wakes where the admission state can actually change — a finish is due
 //! or a queued job's arrival has passed. Cycle boundaries in between cost
 //! O(1): the held system power is integrated over the interval and the
 //! clock steps on. Admission itself stays quantised to the paper's cycle
 //! boundaries, so the event-driven engine reproduces the superseded
-//! polling loop *exactly* — [`reference::run_polling`] is retained and the
-//! `scheduler_equivalence` property suite demands `ScheduleOutcome`
-//! equality (spans, peak, integral) between the two on random queues.
+//! fixed-cycle polling loop *exactly*; that loop is kept as a test oracle
+//! and a property test demands `ScheduleOutcome` equality (spans, peak,
+//! integral) between the two on random queues.
 
 use crate::policy::{CapPolicy, PolicyCtx, SiteView};
+use crate::site::{SiteBudget, SiteRun};
 
 /// Workload classes the scheduler can recognise from job inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,21 +160,6 @@ pub struct BatchJob {
     pub arrival_s: f64,
 }
 
-/// Capping policies the scheduler can run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Policy {
-    /// Default limits everywhere (the baseline).
-    Uncapped,
-    /// One fixed GPU cap for every job.
-    FixedCap(f64),
-    /// The paper's proposal: per-class caps chosen so the loss stays
-    /// within 10 % (Unknown jobs stay uncapped).
-    ClassAware,
-    /// Energy-chasing: every job runs at its measured energy-per-work
-    /// minimum ([`CapResponse::sweet_spot_cap`]), whatever the slowdown.
-    SweetSpot,
-}
-
 /// Result of a schedule simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
@@ -221,39 +210,14 @@ impl Scheduler {
         }
     }
 
-    fn cap_for(&self, job: &BatchJob, policy: Policy) -> Option<f64> {
-        match policy {
-            Policy::Uncapped => None,
-            Policy::FixedCap(c) => Some(c),
-            Policy::ClassAware => match job.class {
-                WorkloadClass::Unknown => None,
-                _ => Some(job.response.recommended_cap(self.max_loss)),
-            },
-            Policy::SweetSpot => Some(job.response.sweet_spot_cap()),
-        }
-    }
-
     /// Effective runtime (seconds) and whole-job power draw (watts) for
-    /// `job` under `policy`. Uncapped jobs run at the top of their own
-    /// measured support ([`CapResponse::uncapped`]), not at a hardwired
-    /// site constant.
+    /// `job` under `policy`, which decides the cap while observing `site`.
+    /// Uncapped jobs run at the top of their own measured support
+    /// ([`CapResponse::uncapped`]), not at a hardwired site constant.
     ///
     /// # Panics
     /// If the job needs more nodes than the system has, or its power
     /// demand alone exceeds the budget (it could never start).
-    #[must_use]
-    pub fn job_demand(&self, job: &BatchJob, policy: Policy) -> (f64, f64) {
-        self.demand_from_cap(job, self.cap_for(job, policy))
-    }
-
-    /// [`Scheduler::job_demand`] for the open [`CapPolicy`] surface: the
-    /// policy decides the cap while observing `site`, the demand
-    /// arithmetic is shared with the enum path so the two cannot drift
-    /// (the `policy_equivalence` suite pins them byte-identical under a
-    /// slack site view).
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand`].
     #[must_use]
     pub fn job_demand_with(
         &self,
@@ -261,18 +225,6 @@ impl Scheduler {
         policy: &dyn CapPolicy,
         site: &SiteView,
     ) -> (f64, f64) {
-        self.demand_from_cap(job, policy.cap_for(job, &self.policy_ctx(), site))
-    }
-
-    /// The context trait-based policies evaluate under.
-    #[must_use]
-    pub fn policy_ctx(&self) -> PolicyCtx {
-        PolicyCtx {
-            max_loss: self.max_loss,
-        }
-    }
-
-    fn demand_from_cap(&self, job: &BatchJob, cap: Option<f64>) -> (f64, f64) {
         assert!(
             job.nodes <= self.total_nodes,
             "job {} wants {} of {} nodes",
@@ -280,7 +232,7 @@ impl Scheduler {
             job.nodes,
             self.total_nodes
         );
-        let (perf, node_power) = match cap {
+        let (perf, node_power) = match policy.cap_for(job, &self.policy_ctx(), site) {
             Some(c) => (job.response.perf_at(c), job.response.power_at(c)),
             None => job.response.uncapped(),
         };
@@ -293,43 +245,49 @@ impl Scheduler {
         (job.base_runtime_s / perf, power)
     }
 
-    /// Simulate the queue under `policy`, event-driven.
-    ///
-    /// Observationally identical to [`reference::run_polling`]; the full
-    /// admission pass runs only at wakes where a finish is due or an
-    /// arrival has passed, every other cycle boundary is O(1).
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
+    /// The context trait-based policies evaluate under.
     #[must_use]
-    pub fn run(&self, queue: &[BatchJob], policy: Policy) -> ScheduleOutcome {
-        let demands: Vec<(f64, f64)> = queue
-            .iter()
-            .map(|j| self.job_demand(j, policy))
-            .collect();
-        self.run_demands(queue, &demands)
+    pub fn policy_ctx(&self) -> PolicyCtx {
+        PolicyCtx {
+            max_loss: self.max_loss,
+        }
     }
 
-    /// [`Scheduler::run`] for the open [`CapPolicy`] surface. Caps are
-    /// decided up front under the slack [`SiteView`] — a single partition
-    /// has no site ledger; the coupled engine lives in
-    /// [`crate::site::run_site`].
+    /// Simulate the queue under `policy` on this one partition, with no
+    /// site ledger to share.
     ///
     /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
+    /// As [`Scheduler::job_demand_with`], for any job in the queue.
     #[must_use]
     pub fn run_with(&self, queue: &[BatchJob], policy: &dyn CapPolicy) -> ScheduleOutcome {
-        let site = SiteView::slack();
-        let demands: Vec<(f64, f64)> = queue
-            .iter()
-            .map(|j| self.job_demand_with(j, policy, &site))
-            .collect();
-        self.run_demands(queue, &demands)
+        self.simulate(1, SiteBudget::unbounded(), queue, policy)
+            .outcome
     }
 
-    /// The event-driven engine proper, shared by the enum and trait entry
-    /// points so an API redesign cannot change a single admission.
-    fn run_demands(&self, queue: &[BatchJob], demands: &[(f64, f64)]) -> ScheduleOutcome {
+    /// The event loop behind every scheduling path: `queue` over
+    /// `partitions` copies of this scheduler's partition, coupled through
+    /// the `site` ledger.
+    ///
+    /// Each job's home partition is `id % partitions`; a job that does not
+    /// fit at home may start on any partition with free nodes and free
+    /// partition watts (probed `(home + k) % partitions`), provided the
+    /// ledger has room. The policy is asked once per job, at the first
+    /// admission wake at or after its arrival, with the live
+    /// [`SiteView`]. Waiting jobs are offered admission in queue order.
+    ///
+    /// # Panics
+    /// As [`Scheduler::job_demand_with`], for any job in the queue, or if a
+    /// job can never start under the site ledger (the engine detects the
+    /// stall rather than spinning).
+    pub(crate) fn simulate(
+        &self,
+        partitions: usize,
+        mut site: SiteBudget,
+        queue: &[BatchJob],
+        policy: &dyn CapPolicy,
+    ) -> SiteRun {
+        assert!(partitions > 0, "need at least one partition");
+        let (nodes_cap, watts_cap) = (self.total_nodes, self.power_budget_w + 1e-9);
         // Arrival order: indices by (arrival, submission order). A cursor
         // walks it forward as arrivals pass, giving O(1) access to the
         // next arrival that could change the admission state.
@@ -337,10 +295,18 @@ impl Scheduler {
         arrival_order.sort_by(|&a, &b| queue[a].arrival_s.total_cmp(&queue[b].arrival_s));
         let mut cursor = 0usize;
 
-        let mut pending: Vec<usize> = (0..queue.len()).collect();
+        let mut demand = vec![(f64::NAN, f64::NAN); queue.len()];
+        let mut placement = vec![usize::MAX; queue.len()];
+        let mut backfilled = 0usize;
+        // Arrived jobs that have not started, in queue order, and the
+        // smallest demand of any job arrived so far.
+        let mut waiting: Vec<Waiting> = Vec::new();
+        let mut min_w = f64::INFINITY;
         let mut running: Vec<Running> = Vec::new();
+        let mut used_nodes = vec![0usize; partitions];
+        let mut used_w = vec![0.0f64; partitions];
         let mut finishes: vpp_sim::EventQueue<u64> = vpp_sim::EventQueue::new();
-        let mut spans: Vec<(u64, f64, f64)> = Vec::new();
+        let mut spans: Vec<(u64, f64, f64)> = Vec::with_capacity(queue.len());
         let mut t = 0.0;
         let mut peak = 0.0f64;
         let mut power_time_integral = 0.0;
@@ -358,68 +324,111 @@ impl Scheduler {
                 running.retain(|r| {
                     if r.finish <= t + 1e-9 {
                         spans.push((r.id, r.start, r.finish));
+                        site.release(r.power_w);
                         false
                     } else {
                         true
                     }
                 });
 
-                // Re-derive free capacity by the same left-to-right sums
-                // the polling loop used, keeping the arithmetic — and so
-                // every boundary-case admission decision — bit-identical.
-                let mut used_nodes: usize = running.iter().map(|r| r.nodes).sum();
-                used_power = running.iter().map(|r| r.power_w).sum();
-
-                // FIFO admission with backfill: start every *arrived*
-                // queued job that fits in free nodes and free power.
-                pending.retain(|&qi| {
-                    let job = &queue[qi];
-                    let (runtime, power) = demands[qi];
-                    if job.arrival_s <= t + 1e-9
-                        && used_nodes + job.nodes <= self.total_nodes
-                        && used_power + power <= self.power_budget_w + 1e-9
-                    {
-                        used_nodes += job.nodes;
-                        used_power += power;
-                        finishes.schedule(t + runtime, job.id);
-                        running.push(Running {
-                            id: job.id,
-                            start: t,
-                            finish: t + runtime,
-                            nodes: job.nodes,
-                            power_w: power,
-                        });
-                        false
-                    } else {
-                        true
-                    }
-                });
-
-                // Arrivals at or before this wake have been offered
-                // admission; only later ones can change the state.
                 while cursor < arrival_order.len()
                     && queue[arrival_order[cursor]].arrival_s <= t + 1e-9
                 {
+                    let qi = arrival_order[cursor];
                     cursor += 1;
+                    let job = &queue[qi];
+                    demand[qi] = self.job_demand_with(job, policy, &site.view());
+                    let power_w = demand[qi].1;
+                    min_w = min_w.min(power_w);
+                    let waiter = Waiting {
+                        qi,
+                        home: (job.id % partitions as u64) as usize,
+                        nodes: job.nodes,
+                        power_w,
+                    };
+                    waiting.insert(waiting.partition_point(|w| w.qi < qi), waiter);
                 }
+
+                // Re-derive each partition's load by the polling oracle's
+                // left-to-right sums over the running set, keeping the
+                // arithmetic — and so every boundary-case admission
+                // decision — bit-identical.
+                used_nodes.fill(0);
+                used_w.fill(0.0);
+                for r in &running {
+                    used_nodes[r.partition] += r.nodes;
+                    used_w[r.partition] += r.power_w;
+                }
+
+                // No waiting job demands less than `min_w`, and float
+                // addition is monotone: once nothing can host `min_w`,
+                // nothing later in the pass can start either.
+                let room = |used_nodes: &[usize], used_w: &[f64], site: &SiteBudget| {
+                    site.fits(min_w)
+                        && (0..partitions)
+                            .any(|p| used_nodes[p] < nodes_cap && used_w[p] + min_w <= watts_cap)
+                };
+                let (mut kept, mut scan) = (0, 0);
+                let mut open = room(&used_nodes, &used_w, &site);
+                while open && scan < waiting.len() {
+                    let w = waiting[scan];
+                    scan += 1;
+                    let host = if site.fits(w.power_w) {
+                        (w.home..w.home + partitions)
+                            .map(|p| if p < partitions { p } else { p - partitions })
+                            .find(|&p| {
+                                used_nodes[p] + w.nodes <= nodes_cap
+                                    && used_w[p] + w.power_w <= watts_cap
+                            })
+                    } else {
+                        None
+                    };
+                    let Some(p) = host else {
+                        waiting[kept] = w;
+                        kept += 1;
+                        continue;
+                    };
+                    used_nodes[p] += w.nodes;
+                    used_w[p] += w.power_w;
+                    site.commit(w.power_w);
+                    open = room(&used_nodes, &used_w, &site);
+                    placement[w.qi] = p;
+                    backfilled += usize::from(p != w.home);
+                    let (id, finish) = (queue[w.qi].id, t + demand[w.qi].0);
+                    finishes.schedule(finish, id);
+                    running.push(Running {
+                        id,
+                        start: t,
+                        finish,
+                        nodes: w.nodes,
+                        power_w: w.power_w,
+                        partition: p,
+                    });
+                }
+                waiting.drain(kept..scan);
+                used_power = used_w.iter().sum();
             }
 
             peak = peak.max(used_power);
             power_time_integral += used_power * (t - last_t).max(0.0);
             last_t = t;
 
-            if pending.is_empty() && running.is_empty() {
+            if waiting.is_empty() && running.is_empty() && cursor == arrival_order.len() {
                 break;
             }
 
             // Advance: next cycle boundary, next finish, or — when idle —
             // the next arrival, whichever comes first.
             let next_finish = finishes.earliest_time().unwrap_or(f64::INFINITY);
-            let next_arrival = if cursor < arrival_order.len() {
-                queue[arrival_order[cursor]].arrival_s
-            } else {
-                f64::INFINITY
-            };
+            let next_arrival = arrival_order
+                .get(cursor)
+                .map_or(f64::INFINITY, |&qi| queue[qi].arrival_s);
+            assert!(
+                !running.is_empty() || next_arrival.is_finite(),
+                "scheduler stalled: {} job(s) can never start under the \
+                 partition/site budgets",
+                waiting.len()
+            );
             let mut next = t + self.cycle_s;
             if next_finish < next {
                 next = next_finish;
@@ -428,11 +437,15 @@ impl Scheduler {
                 next = next_arrival;
             }
             t = next;
-            assert!(t.is_finite(), "scheduler stalled: no running jobs advance");
             admit = next_finish <= t + 1e-9 || next_arrival <= t + 1e-9;
         }
 
-        finalise(spans, peak, power_time_integral)
+        SiteRun {
+            outcome: finalise(spans, peak, power_time_integral),
+            demand,
+            placement,
+            backfilled,
+        }
     }
 }
 
@@ -442,13 +455,23 @@ struct Running {
     finish: f64,
     nodes: usize,
     power_w: f64,
+    partition: usize,
+}
+
+/// An arrived job that has not started, with what the admission pass
+/// reads, so the pass scans one compact array.
+#[derive(Clone, Copy)]
+struct Waiting {
+    qi: usize,
+    home: usize,
+    nodes: usize,
+    power_w: f64,
 }
 
 /// Sort spans, derive the makespan and assemble the outcome — shared by
-/// the event-driven engine, the polling reference and the site-coupled
-/// engine ([`crate::site`]) so the summary arithmetic cannot drift
-/// between them.
-pub(crate) fn finalise(
+/// the event-driven engine and the polling oracle so the summary
+/// arithmetic cannot drift between them.
+fn finalise(
     mut spans: Vec<(u64, f64, f64)>,
     peak: f64,
     power_time_integral: f64,
@@ -467,24 +490,26 @@ pub(crate) fn finalise(
     }
 }
 
-pub mod reference {
-    //! The superseded fixed-cycle polling engine, kept as the semantic
-    //! reference for [`Scheduler::run`]: the `scheduler_equivalence`
-    //! property suite runs both on random queues and demands identical
-    //! [`ScheduleOutcome`]s — admission order, spans, peak and integral.
+#[cfg(test)]
+mod reference {
+    //! The superseded fixed-cycle polling engine, kept as the oracle for
+    //! [`Scheduler::run_with`]: a property test runs both on random queues
+    //! and demands identical [`ScheduleOutcome`]s — admission order,
+    //! spans, peak and integral.
 
-    use super::{finalise, BatchJob, Policy, Running, ScheduleOutcome, Scheduler};
+    use super::{finalise, BatchJob, Running, ScheduleOutcome, Scheduler};
+    use crate::policy::{CapPolicy, SiteView};
 
     /// Simulate the queue under `policy` with the original polling loop:
     /// every wake rescans `running` and `pending` in full.
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
-    #[must_use]
-    pub fn run_polling(sched: &Scheduler, queue: &[BatchJob], policy: Policy) -> ScheduleOutcome {
+    pub fn run_polling(
+        sched: &Scheduler,
+        queue: &[BatchJob],
+        policy: &dyn CapPolicy,
+    ) -> ScheduleOutcome {
         let demands: Vec<(f64, f64)> = queue
             .iter()
-            .map(|j| sched.job_demand(j, policy))
+            .map(|j| sched.job_demand_with(j, policy, &SiteView::slack()))
             .collect();
 
         let mut pending: Vec<usize> = (0..queue.len()).collect();
@@ -525,6 +550,7 @@ pub mod reference {
                         finish: t + runtime,
                         nodes: job.nodes,
                         power_w: power,
+                        partition: 0,
                     });
                     false
                 } else {
@@ -572,6 +598,9 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ClassAware, FixedCap, SweetSpot, TcoAware, Uncapped};
+    use vpp_substrate::prop::usize_in;
+    use vpp_substrate::Rng;
 
     /// A VASP-like cap response: 300 W free, 200 W ≈ 9 % loss, 100 W dire.
     fn hungry_response() -> CapResponse {
@@ -633,7 +662,7 @@ mod tests {
         let s = Scheduler::new(4, 10_000.0);
         let mut j = job(1, WorkloadClass::Unknown, 2, 100.0);
         j.response = r;
-        let (runtime, power) = s.job_demand(&j, Policy::Uncapped);
+        let (runtime, power) = s.job_demand_with(&j, &Uncapped, &SiteView::slack());
         assert!((runtime - 100.0).abs() < 1e-12);
         assert!((power - 3000.0).abs() < 1e-12);
     }
@@ -652,8 +681,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..4)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let sweet = s.run(&queue, Policy::SweetSpot);
+        let base = s.run_with(&queue, &Uncapped);
+        let sweet = s.run_with(&queue, &SweetSpot);
         // 200 W sweet spot: 9 % slower but far below uncapped power.
         assert!(sweet.makespan_s > base.makespan_s);
         assert!(sweet.peak_power_w < base.peak_power_w);
@@ -672,16 +701,19 @@ mod tests {
                 j
             })
             .collect();
-        for policy in [
-            Policy::Uncapped,
-            Policy::FixedCap(200.0),
-            Policy::ClassAware,
-            Policy::SweetSpot,
-        ] {
+        let policies: [&dyn CapPolicy; 5] = [
+            &Uncapped,
+            &FixedCap(200.0),
+            &ClassAware,
+            &SweetSpot,
+            &TcoAware::DEFAULT,
+        ];
+        for policy in policies {
             assert_eq!(
-                s.run(&queue, policy),
+                s.run_with(&queue, policy),
                 reference::run_polling(&s, &queue, policy),
-                "{policy:?}"
+                "{}",
+                policy.name()
             );
         }
     }
@@ -695,7 +727,7 @@ mod tests {
     #[test]
     fn single_job_runs_to_completion() {
         let s = Scheduler::new(4, 10_000.0);
-        let out = s.run(&[job(1, WorkloadClass::PowerHungry, 2, 600.0)], Policy::Uncapped);
+        let out = s.run_with(&[job(1, WorkloadClass::PowerHungry, 2, 600.0)], &Uncapped);
         assert_eq!(out.job_spans.len(), 1);
         assert!((out.makespan_s - 600.0).abs() < 1e-6);
         assert!((out.peak_power_w - 2.0 * 1810.0).abs() < 1e-6);
@@ -707,14 +739,21 @@ mod tests {
         let queue: Vec<BatchJob> = (0..6)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 300.0))
             .collect();
-        for policy in [Policy::Uncapped, Policy::FixedCap(200.0), Policy::ClassAware] {
-            let out = s.run(&queue, policy);
+        let policies: [&dyn CapPolicy; 3] = [&Uncapped, &FixedCap(200.0), &ClassAware];
+        for policy in policies {
+            let out = s.run_with(&queue, policy);
             assert!(
                 out.peak_power_w <= 4000.0 + 1e-6,
-                "{policy:?}: peak {}",
+                "{}: peak {}",
+                policy.name(),
                 out.peak_power_w
             );
-            assert_eq!(out.job_spans.len(), 6, "{policy:?}: all jobs must finish");
+            assert_eq!(
+                out.job_spans.len(),
+                6,
+                "{}: all jobs must finish",
+                policy.name()
+            );
         }
     }
 
@@ -726,8 +765,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..6)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let capped = s.run(&queue, Policy::ClassAware);
+        let base = s.run_with(&queue, &Uncapped);
+        let capped = s.run_with(&queue, &ClassAware);
         assert!(
             capped.makespan_s < base.makespan_s,
             "capped {} vs uncapped {}",
@@ -742,8 +781,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..4)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let capped = s.run(&queue, Policy::ClassAware);
+        let base = s.run_with(&queue, &Uncapped);
+        let capped = s.run_with(&queue, &ClassAware);
         // With unlimited power, capping only adds the ~9 % slowdown.
         assert!(capped.makespan_s >= base.makespan_s);
         assert!(capped.makespan_s <= base.makespan_s * 1.15);
@@ -753,7 +792,7 @@ mod tests {
     fn unknown_jobs_stay_uncapped_under_class_aware() {
         let s = Scheduler::new(4, 10_000.0);
         let queue = vec![job(1, WorkloadClass::Unknown, 1, 100.0)];
-        let out = s.run(&queue, Policy::ClassAware);
+        let out = s.run_with(&queue, &ClassAware);
         assert!((out.peak_power_w - 766.0).abs() < 1e-6, "{}", out.peak_power_w);
     }
 
@@ -763,7 +802,7 @@ mod tests {
         let queue: Vec<BatchJob> = (0..3)
             .map(|i| job(i, WorkloadClass::Light, 2, 100.0))
             .collect();
-        let out = s.run(&queue, Policy::Uncapped);
+        let out = s.run_with(&queue, &Uncapped);
         // Three 2-node jobs on 2 nodes: strictly sequential.
         assert!(out.makespan_s >= 300.0 - 1e-6);
     }
@@ -774,14 +813,17 @@ mod tests {
         let queue: Vec<BatchJob> = (0..5)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 400.0))
             .collect();
-        assert_eq!(s.run(&queue, Policy::ClassAware), s.run(&queue, Policy::ClassAware));
+        assert_eq!(
+            s.run_with(&queue, &ClassAware),
+            s.run_with(&queue, &ClassAware)
+        );
     }
 
     #[test]
     #[should_panic(expected = "exceeds the power budget")]
     fn impossible_job_panics() {
         let s = Scheduler::new(4, 1000.0);
-        let _ = s.run(&[job(1, WorkloadClass::PowerHungry, 4, 100.0)], Policy::Uncapped);
+        let _ = s.run_with(&[job(1, WorkloadClass::PowerHungry, 4, 100.0)], &Uncapped);
     }
 
     #[test]
@@ -790,7 +832,7 @@ mod tests {
         let mut late = job(2, WorkloadClass::Light, 1, 100.0);
         late.arrival_s = 500.0;
         let queue = vec![job(1, WorkloadClass::Light, 1, 100.0), late];
-        let out = s.run(&queue, Policy::Uncapped);
+        let out = s.run_with(&queue, &Uncapped);
         let span_of = |id: u64| {
             out.job_spans
                 .iter()
@@ -814,7 +856,7 @@ mod tests {
                 j
             })
             .collect();
-        let out = s.run(&queue, Policy::ClassAware);
+        let out = s.run_with(&queue, &ClassAware);
         assert_eq!(out.job_spans.len(), 6);
         assert!(out.peak_power_w <= 4000.0 + 1e-6);
     }
@@ -822,7 +864,85 @@ mod tests {
     #[test]
     fn throughput_metric() {
         let s = Scheduler::new(4, 1.0e6);
-        let out = s.run(&[job(1, WorkloadClass::Light, 1, 1800.0)], Policy::Uncapped);
+        let out = s.run_with(&[job(1, WorkloadClass::Light, 1, 1800.0)], &Uncapped);
         assert!((out.throughput_per_hour() - 2.0).abs() < 1e-9);
+    }
+
+    /// A random but well-formed cap response: strictly increasing caps,
+    /// monotone-ish perf, rising node power.
+    fn random_response(rng: &mut Rng) -> CapResponse {
+        let n = usize_in(rng, 1, 6);
+        let mut cap = rng.uniform(80.0, 150.0);
+        let mut perf = rng.uniform(0.3, 0.7);
+        let mut power = rng.uniform(400.0, 900.0);
+        let mut points = Vec::with_capacity(n);
+        for _ in 0..n {
+            points.push((cap, perf.min(1.0), power));
+            cap += rng.uniform(20.0, 120.0);
+            perf += rng.uniform(0.0, 0.4);
+            power += rng.uniform(10.0, 400.0);
+        }
+        CapResponse::new(points)
+    }
+
+    fn random_queue(rng: &mut Rng, total_nodes: usize) -> Vec<BatchJob> {
+        let n = usize_in(rng, 0, 25);
+        let classes = [
+            WorkloadClass::PowerHungry,
+            WorkloadClass::Moderate,
+            WorkloadClass::Light,
+            WorkloadClass::Unknown,
+        ];
+        (0..n as u64)
+            .map(|id| {
+                // A burst of identical arrivals every few jobs exercises the
+                // FIFO tie-break inside one admission pass.
+                let arrival = if rng.bool(0.3) {
+                    (id / 3) as f64 * rng.uniform(0.0, 200.0)
+                } else {
+                    rng.uniform(0.0, 600.0)
+                };
+                BatchJob {
+                    id,
+                    name: format!("j{id}"),
+                    class: classes[rng.index(classes.len())],
+                    nodes: usize_in(rng, 1, total_nodes + 1),
+                    base_runtime_s: rng.uniform(5.0, 900.0),
+                    response: random_response(rng),
+                    arrival_s: arrival,
+                }
+            })
+            .collect()
+    }
+
+    vpp_substrate::properties! {
+        /// Observational identity, not approximation: admission stays
+        /// quantised to cycle boundaries and the power sums reuse the
+        /// polling loop's left-to-right arithmetic, so the whole outcome
+        /// must compare equal with `==`.
+        fn event_driven_run_equals_polling_reference(rng) {
+            let total_nodes = usize_in(rng, 1, 13);
+            let queue = random_queue(rng, total_nodes);
+            // Budget at least the hungriest single job, so every job can run.
+            let max_single = queue
+                .iter()
+                .map(|j| j.response.uncapped().1 * j.nodes as f64)
+                .fold(0.0f64, f64::max)
+                .max(1.0);
+            let mut sched = Scheduler::new(total_nodes, max_single * rng.uniform(1.0, 3.0));
+            sched.cycle_s = rng.uniform(5.0, 60.0);
+            let fixed = FixedCap(rng.uniform(90.0, 400.0));
+            let policy: &dyn CapPolicy = match rng.index(5) {
+                0 => &Uncapped,
+                1 => &fixed,
+                2 => &ClassAware,
+                3 => &SweetSpot,
+                _ => &TcoAware::DEFAULT,
+            };
+            let fast = sched.run_with(&queue, policy);
+            let slow = reference::run_polling(&sched, &queue, policy);
+            assert_eq!(fast, slow, "{} diverged on {} jobs", policy.name(), queue.len());
+            assert_eq!(fast.job_spans.len(), queue.len(), "every job must finish");
+        }
     }
 }

@@ -1,47 +1,45 @@
-//! Site-level scheduling: one event loop over every partition, coupled
-//! through a shared watts ledger.
+//! Site-level scheduling: every partition coupled through a shared watts
+//! ledger.
 //!
 //! Without a site budget the campaign's partitions are independent DES
 //! runs ([`crate::scheduler::Scheduler::run_with`]) — that is what makes
 //! shard-parallel simulation trivially deterministic. `--site-budget`
 //! breaks the independence on purpose: the whole machine shares one
 //! power envelope, so admitting a job on partition 3 can starve a job on
-//! partition 5. This module supplies the coupled engine:
+//! partition 5. This module supplies the coupling:
 //!
 //! * [`SiteBudget`] — the ledger of committed watts across all
 //!   partitions. The DES commits at every job start and releases at every
 //!   finish; policies observe it through [`SiteView`] snapshots.
-//! * [`run_site`] — a single event-driven loop over all partitions with
-//!   *global backfill*: pending jobs are scanned in submission order, and
-//!   a job whose round-robin home partition is full may start on any
+//! * [`run_site`] — the scheduler's one event loop over all partitions
+//!   with *global backfill*: waiting jobs are scanned in submission order,
+//!   and a job whose round-robin home partition is full may start on any
 //!   partition with free nodes, free partition watts and free *site*
 //!   watts (home first, then increasing partition index, wrapping).
 //!
-//! Because partitions are coupled, the engine is one serial event loop —
+//! Because partitions are coupled, the run is one serial event loop —
 //! the shard count cannot split it, and [`crate::campaign::run`] keeps
 //! the N-shard == 1-shard guarantee by construction: the outcome is a
 //! pure function of `(spec, policy)`. Within the loop every tie falls to
-//! the same `(start, id)` order the per-partition engine uses: finishes
-//! retire in time-then-id order before any admission, pending jobs are
-//! offered admission in id order, and spans finalise sorted by
-//! `(start, id)`.
+//! the same `(start, id)` order the per-partition runs use: finishes
+//! retire before any admission, waiting jobs are offered admission in id
+//! order, and spans finalise sorted by `(start, id)`.
 
 use crate::campaign::CampaignSpec;
 use crate::policy::{CapPolicy, SiteView};
-use crate::scheduler::{finalise, BatchJob, ScheduleOutcome};
+use crate::scheduler::{BatchJob, ScheduleOutcome};
 use vpp_substrate::trace;
 
 /// The shared ledger of watts committed to running jobs site-wide.
 ///
-/// Maintained by [`run_site`] at job start (commit) and finish (release)
-/// events; the high-water mark is the exact campaign peak, and the
-/// commit-side assertion is what makes "peak never exceeds the site
-/// budget" a structural guarantee rather than a measured one.
+/// Maintained by the scheduler's event loop at job start (commit) and
+/// finish (release) events; the commit-side assertion is what makes "peak
+/// never exceeds the site budget" a structural guarantee rather than a
+/// measured one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteBudget {
     budget_w: f64,
     committed_w: f64,
-    peak_w: f64,
 }
 
 impl SiteBudget {
@@ -56,7 +54,6 @@ impl SiteBudget {
         Self {
             budget_w,
             committed_w: 0.0,
-            peak_w: 0.0,
         }
     }
 
@@ -80,24 +77,11 @@ impl SiteBudget {
     pub fn commit(&mut self, w: f64) {
         assert!(self.fits(w), "site ledger overdraft: {} + {w} > {}", self.committed_w, self.budget_w);
         self.committed_w += w;
-        self.peak_w = self.peak_w.max(self.committed_w);
     }
 
     /// Release `w` watts from a finishing job.
     pub fn release(&mut self, w: f64) {
         self.committed_w = (self.committed_w - w).max(0.0);
-    }
-
-    /// Watts currently committed.
-    #[must_use]
-    pub fn committed_w(&self) -> f64 {
-        self.committed_w
-    }
-
-    /// High-water mark of committed watts — the exact site peak.
-    #[must_use]
-    pub fn peak_w(&self) -> f64 {
-        self.peak_w
     }
 
     /// The read-only snapshot policies observe.
@@ -110,28 +94,20 @@ impl SiteBudget {
     }
 }
 
-/// What the coupled engine hands back to the campaign layer.
+/// What the scheduler's event loop hands back: the outcome plus the
+/// per-job decisions behind it, indexed like the queue it ran (for a
+/// campaign's site run, by job id — ids are dense `0..jobs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteRun {
-    /// Spans, peak and power-time integral over the whole site,
-    /// finalised exactly like a per-partition outcome.
+    /// Spans, peak and power-time integral over every partition.
     pub outcome: ScheduleOutcome,
-    /// Per-job `(runtime_s, power_w)` as decided at admission time
-    /// (indexed by job id; ids are dense `0..jobs`).
+    /// Per-job `(runtime_s, power_w)`, decided once per job when it is
+    /// first offered admission.
     pub demand: Vec<(f64, f64)>,
-    /// Partition each job ran on (indexed by job id).
+    /// Partition each job ran on.
     pub placement: Vec<usize>,
     /// Jobs that started away from their round-robin home partition.
     pub backfilled: usize,
-}
-
-struct SiteRunning {
-    id: u64,
-    start: f64,
-    finish: f64,
-    nodes: usize,
-    power_w: f64,
-    partition: usize,
 }
 
 /// Simulate `jobs` over every partition of `spec` under one site ledger.
@@ -139,10 +115,9 @@ struct SiteRunning {
 /// Jobs keep their round-robin home (`id % partitions`) as the preferred
 /// host but may backfill onto any partition with free nodes, free
 /// partition watts and free site watts. Admission stays quantised to the
-/// scheduler's cycle and the engine wakes exactly like the per-partition
-/// DES: at cycle boundaries where a finish is due or an arrival has
-/// passed. Policies are re-consulted at every admission attempt with the
-/// live [`SiteView`].
+/// scheduler's cycle and the engine wakes exactly like a single
+/// partition's run: at cycle boundaries where a finish is due or an
+/// arrival has passed.
 ///
 /// # Panics
 /// If a job could never start (needs more nodes than a partition has,
@@ -150,140 +125,14 @@ struct SiteRunning {
 /// detects the stall rather than spinning.
 #[must_use]
 pub fn run_site(spec: &CampaignSpec, jobs: &[BatchJob], policy: &dyn CapPolicy) -> SiteRun {
-    let parts = spec.partitions;
-    assert!(parts > 0, "need at least one partition");
-    let sched = spec.scheduler();
-    let mut site = match spec.site_budget_w {
-        Some(b) => SiteBudget::new(b),
-        None => SiteBudget::unbounded(),
-    };
-
-    let mut free_nodes = vec![spec.nodes_per_partition; parts];
-    let mut part_power = vec![0.0f64; parts];
-    let mut demand = vec![(f64::NAN, f64::NAN); jobs.len()];
-    let mut placement = vec![usize::MAX; jobs.len()];
-    let mut backfilled = 0usize;
-
-    // Arrival order: indices by (arrival, submission order), walked by a
-    // cursor as in the per-partition engine.
-    let mut arrival_order: Vec<usize> = (0..jobs.len()).collect();
-    arrival_order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s));
-    let mut cursor = 0usize;
-
-    let mut pending: Vec<usize> = (0..jobs.len()).collect();
-    let mut running: Vec<SiteRunning> = Vec::new();
-    let mut finishes: vpp_sim::EventQueue<u64> = vpp_sim::EventQueue::new();
-    let mut spans: Vec<(u64, f64, f64)> = Vec::new();
-    let mut t = 0.0;
-    let mut power_time_integral = 0.0;
-    let mut last_t = 0.0;
-    let mut admit = true; // t = 0 is always an admission wake
-
-    loop {
-        if admit {
-            // Retire due finishes first — watts released here are
-            // available to every admission below, matching the
-            // retire-then-admit order of the per-partition wake.
-            while finishes.next_before(t + 1e-9).is_some() {}
-            running.retain(|r| {
-                if r.finish <= t + 1e-9 {
-                    spans.push((r.id, r.start, r.finish));
-                    free_nodes[r.partition] += r.nodes;
-                    part_power[r.partition] -= r.power_w;
-                    site.release(r.power_w);
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // Global backfill in submission (id) order: each arrived job
-            // is offered its home partition first, then the others in
-            // increasing index, wrapping — the only deterministic order
-            // consistent with `(start, id)` tie-breaking.
-            pending.retain(|&qi| {
-                let job = &jobs[qi];
-                if job.arrival_s > t + 1e-9 {
-                    return true;
-                }
-                let (runtime, power) = sched.job_demand_with(job, policy, &site.view());
-                if !site.fits(power) {
-                    return true;
-                }
-                let home = (job.id % parts as u64) as usize;
-                for k in 0..parts {
-                    let p = (home + k) % parts;
-                    if free_nodes[p] >= job.nodes
-                        && part_power[p] + power <= spec.partition_budget_w + 1e-9
-                    {
-                        free_nodes[p] -= job.nodes;
-                        part_power[p] += power;
-                        site.commit(power);
-                        demand[qi] = (runtime, power);
-                        placement[qi] = p;
-                        if p != home {
-                            backfilled += 1;
-                        }
-                        finishes.schedule(t + runtime, job.id);
-                        running.push(SiteRunning {
-                            id: job.id,
-                            start: t,
-                            finish: t + runtime,
-                            nodes: job.nodes,
-                            power_w: power,
-                            partition: p,
-                        });
-                        return false;
-                    }
-                }
-                true
-            });
-
-            while cursor < arrival_order.len()
-                && jobs[arrival_order[cursor]].arrival_s <= t + 1e-9
-            {
-                cursor += 1;
-            }
-        }
-
-        power_time_integral += site.committed_w() * (t - last_t).max(0.0);
-        last_t = t;
-
-        if pending.is_empty() && running.is_empty() {
-            break;
-        }
-
-        let next_finish = finishes.earliest_time().unwrap_or(f64::INFINITY);
-        let next_arrival = if cursor < arrival_order.len() {
-            jobs[arrival_order[cursor]].arrival_s
-        } else {
-            f64::INFINITY
-        };
-        assert!(
-            !(running.is_empty() && next_arrival.is_infinite() && !pending.is_empty()),
-            "site scheduler stalled: {} job(s) can never start under the \
-             partition/site budgets",
-            pending.len()
-        );
-        let mut next = t + sched.cycle_s;
-        if next_finish < next {
-            next = next_finish;
-        }
-        if running.is_empty() && next_arrival > next {
-            next = next_arrival;
-        }
-        t = next;
-        assert!(t.is_finite(), "site scheduler stalled: no running jobs advance");
-        admit = next_finish <= t + 1e-9 || next_arrival <= t + 1e-9;
-    }
-
-    trace::counter("site.backfilled", backfilled as u64);
-    SiteRun {
-        outcome: finalise(spans, site.peak_w(), power_time_integral),
-        demand,
-        placement,
-        backfilled,
-    }
+    let site = spec
+        .site_budget_w
+        .map_or_else(SiteBudget::unbounded, SiteBudget::new);
+    let run = spec
+        .scheduler()
+        .simulate(spec.partitions, site, jobs, policy);
+    trace::counter("site.backfilled", run.backfilled as u64);
+    run
 }
 
 #[cfg(test)]
@@ -320,16 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn ledger_tracks_commit_release_and_peak() {
+    fn ledger_tracks_commit_and_release() {
         let mut b = SiteBudget::new(5000.0);
         assert!(b.fits(5000.0));
         b.commit(3000.0);
         b.commit(1500.0);
         assert!(!b.fits(1000.0));
-        assert!((b.committed_w() - 4500.0).abs() < 1e-9);
+        assert!((b.view().committed_w - 4500.0).abs() < 1e-9);
         b.release(3000.0);
         b.commit(2000.0);
-        assert!((b.peak_w() - 4500.0).abs() < 1e-9, "peak is the high-water mark");
+        assert!((b.view().committed_w - 3500.0).abs() < 1e-9);
         assert!((b.view().free_w() - 1500.0).abs() < 1e-9);
     }
 

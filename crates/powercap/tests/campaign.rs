@@ -5,8 +5,9 @@
 //! a site budget (independent partitions vs the coupled global-backfill
 //! engine).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vpp_powercap::policy::{ClassAware, FixedCap, SweetSpot, TcoAware, Uncapped};
-use vpp_powercap::{campaign, CampaignSpec, CapPolicy};
+use vpp_powercap::{campaign, BatchJob, CampaignSpec, CapPolicy, PolicyCtx, SiteView};
 
 fn trio_plus() -> [(&'static str, &'static dyn CapPolicy); 5] {
     [
@@ -78,4 +79,48 @@ fn different_seeds_produce_different_campaigns() {
     let a = campaign::run(&spec, &Uncapped, 2);
     let b = campaign::run(&other, &Uncapped, 2);
     assert_ne!(a, b);
+}
+
+/// A policy that counts how often the engine consults it.
+struct Counted {
+    inner: &'static dyn CapPolicy,
+    calls: AtomicUsize,
+}
+
+impl CapPolicy for Counted {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn cap_for(&self, job: &BatchJob, ctx: &PolicyCtx, site: &SiteView) -> Option<f64> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.cap_for(job, ctx, site)
+    }
+}
+
+#[test]
+fn the_policy_is_asked_once_per_job() {
+    let partitioned = CampaignSpec {
+        partitions: 6,
+        ..CampaignSpec::new(240, 7)
+    };
+    let site = CampaignSpec {
+        site_budget_w: Some(0.6 * 6.0 * 40_000.0),
+        ..partitioned.clone()
+    };
+    for spec in [partitioned, site] {
+        for shards in [1, spec.partitions] {
+            let counted = Counted {
+                inner: &TcoAware::DEFAULT,
+                calls: AtomicUsize::new(0),
+            };
+            let _ = campaign::run(&spec, &counted, shards);
+            assert_eq!(
+                counted.calls.into_inner(),
+                spec.jobs,
+                "site budget {:?}, {shards} shard(s)",
+                spec.site_budget_w
+            );
+        }
+    }
 }

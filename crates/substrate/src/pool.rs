@@ -12,7 +12,9 @@
 //! thread count bounded by the machine width instead of the product of the
 //! nesting arities.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,8 +32,9 @@ pub fn workers_for(n: usize) -> usize {
 
 /// Map `f` over owned `items` in parallel, preserving input order.
 ///
-/// Panics in `f` propagate to the caller (the scope re-raises the first
-/// worker panic when it joins).
+/// A panic in `f` stops the pool handing out further items and is
+/// re-raised on the caller with its original payload once every worker
+/// has joined.
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -46,6 +49,7 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
@@ -60,12 +64,26 @@ where
                         .expect("poisoned input slot")
                         .take()
                         .expect("item claimed twice");
-                    let out = f(item);
-                    *results[i].lock().expect("poisoned result slot") = Some(out);
+                    // Caught here rather than by the scope, which would
+                    // replace the payload with a generic message.
+                    match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                        Ok(out) => *results[i].lock().expect("poisoned result slot") = Some(out),
+                        Err(payload) => {
+                            next.store(n, Ordering::Relaxed);
+                            first_panic
+                                .lock()
+                                .expect("poisoned panic slot")
+                                .get_or_insert(payload);
+                            break;
+                        }
+                    }
                 }
             });
         }
     });
+    if let Some(payload) = first_panic.into_inner().expect("poisoned panic slot") {
+        panic::resume_unwind(payload);
+    }
     results
         .into_iter()
         .map(|slot| {

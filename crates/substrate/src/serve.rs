@@ -1262,15 +1262,21 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                     entry.error = Some(message);
                     shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
                 }
-                Err(_) => {
+                Err(payload) => {
+                    let reason = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
                     entry.state = JobState::Failed;
                     crate::log_event!(
                         Error,
                         "serve.jobs",
                         "job handler panicked",
                         job = id,
+                        reason = reason.as_str(),
                     );
-                    entry.error = Some("job handler panicked".to_string());
+                    entry.error = Some(format!("job handler panicked: {reason}"));
                     shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
                 }
             }

@@ -13,9 +13,8 @@
 
 use vasp_power_profiles::core::{benchmarks, protocol};
 use vasp_power_profiles::dft::Xc;
-use vasp_power_profiles::powercap::{
-    BatchJob, CapResponse, Policy, Scheduler, WorkloadClass,
-};
+use vasp_power_profiles::powercap::policy::{ClassAware, FixedCap, Uncapped};
+use vasp_power_profiles::powercap::{BatchJob, CapPolicy, CapResponse, Scheduler, WorkloadClass};
 
 fn classify(xc: Xc) -> WorkloadClass {
     match xc {
@@ -90,12 +89,13 @@ fn main() {
         "{:<22} {:>12} {:>12} {:>12} {:>10}",
         "policy", "makespan s", "peak kW", "mean kW", "jobs/h"
     );
-    for (label, policy) in [
-        ("uncapped (default)", Policy::Uncapped),
-        ("fixed 200 W (50% TDP)", Policy::FixedCap(200.0)),
-        ("class-aware (paper)", Policy::ClassAware),
-    ] {
-        let out = sched.run(&queue, policy);
+    let policies: [(&str, &dyn CapPolicy); 3] = [
+        ("uncapped (default)", &Uncapped),
+        ("fixed 200 W (50% TDP)", &FixedCap(200.0)),
+        ("class-aware (paper)", &ClassAware),
+    ];
+    for (label, policy) in policies {
+        let out = sched.run_with(&queue, policy);
         println!(
             "{:<22} {:>12.0} {:>12.1} {:>12.1} {:>10.1}",
             label,

@@ -17,6 +17,9 @@ cargo clippy --all-targets --offline --workspace -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --offline -- --test-threads=1 (catches order dependence)"
+cargo test -q --offline --workspace -- --test-threads=1
+
 echo "==> fault-injection smoke (examples/dirty_telemetry)"
 cargo run -q --release --offline --example dirty_telemetry
 

@@ -101,7 +101,8 @@ fn await_state(addr: SocketAddr, id: u64, state: &str) -> Value {
 /// which both proves two jobs are inside `run` simultaneously and lets
 /// the test inspect a still-running job deterministically. With
 /// `"await_cancel": true` the run parks until its [`CancelToken`] fires —
-/// a deterministically cancellable long job.
+/// a deterministically cancellable long job. With `"panic": true` the
+/// run panics.
 struct TagHandler {
     gate: Arc<Barrier>,
 }
@@ -122,6 +123,9 @@ impl JobHandler for TagHandler {
             .to_string();
         let events = spec.get("events").and_then(Value::as_f64).unwrap_or(8.0) as usize;
         let rendezvous = matches!(spec.get("rendezvous"), Some(Value::Bool(true)));
+        if matches!(spec.get("panic"), Some(Value::Bool(true))) {
+            panic!("tag {tag} exploded");
+        }
         if matches!(spec.get("await_cancel"), Some(Value::Bool(true))) {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !cancel.is_canceled() {
@@ -420,6 +424,22 @@ fn trace_cursor_delivers_each_event_exactly_once_across_chunks() {
     let (status, _, body) = get(addr, &format!("/jobs/{id}/trace?after=x"));
     assert_eq!(status, 400, "{body}");
 
+    h.shutdown();
+}
+
+#[test]
+fn a_panicking_job_fails_with_its_panic_message() {
+    let _guard = locked();
+    let gate = Arc::new(Barrier::new(1)); // unused: no rendezvous jobs here
+    let h = serve_with(ServeConfig::new(0).handler(Arc::new(TagHandler { gate })))
+        .expect("bind ephemeral");
+    let id = submit(h.addr(), r#"{"tag": "gamma", "panic": true}"#);
+    let doc = await_state(h.addr(), id, "failed");
+    let error = doc
+        .get("error")
+        .and_then(Value::as_str)
+        .expect("failed job has an error");
+    assert!(error.contains("tag gamma exploded"), "{error}");
     h.shutdown();
 }
 
