@@ -16,8 +16,8 @@ use vpp_substrate::{span, trace, Harness};
 fn main() {
     let mut h = Harness::new("trace_overhead");
 
-    // Primitive costs with no recorder installed: one relaxed atomic load
-    // each. The field closures must not run at all.
+    // Primitive costs with no session bound: one thread-local read each.
+    // The field closures must not run at all.
     h.bench("span_open_close_disabled", || {
         let mut s = span!("bench.span", payload = 42u64);
         s.record("exit_payload", 1.0);

@@ -448,17 +448,13 @@ mod tests {
         s
     }
 
-    /// Execute under a trace session bound to this thread alone: a global
-    /// session would also record sibling tests' executors.
+    /// Execute under a trace session.
     fn execute_traced(
         plan: &ScfPlan,
         spec: &JobSpec,
     ) -> (JobResult, vpp_substrate::trace::TraceReport) {
-        let session = vpp_substrate::trace::local_session(1 << 16);
-        let res = {
-            let _bind = session.bind();
-            execute(plan, spec, &NetworkModel::perlmutter())
-        };
+        let session = vpp_substrate::trace::session(1 << 16);
+        let res = execute(plan, spec, &NetworkModel::perlmutter());
         (res, session.finish())
     }
 

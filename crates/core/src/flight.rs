@@ -51,20 +51,16 @@ pub fn baseline_cfg() -> RunConfig {
 /// [`TraceBaseline`] — the re-run side of `vpp trace diff`, and the same
 /// rollup `Harness::bench_traced` stores.
 ///
-/// The session is bound to the calling thread and the repeats run on it
-/// ([`pool::serial`]), so instrumented work elsewhere in the process
-/// cannot leak into the baseline.
+/// The session is bound to the calling thread, which also runs the
+/// repeats ([`pool::serial`]), as a service job does.
 ///
 /// # Panics
 /// If the session overflows [`SESSION_CAPACITY`]: a truncated baseline
 /// would silently bias every later comparison.
 #[must_use]
 pub fn capture(bench: &Benchmark, cfg: &RunConfig, ctx: &StudyContext) -> (Measured, TraceBaseline) {
-    let session = trace::local_session(SESSION_CAPACITY);
-    let m = {
-        let _bind = session.bind();
-        pool::serial(|| protocol::measure(bench, cfg, ctx))
-    };
+    let session = trace::session(SESSION_CAPACITY);
+    let m = pool::serial(|| protocol::measure(bench, cfg, ctx));
     let report = session.finish();
     assert_eq!(
         report.dropped, 0,
@@ -104,9 +100,8 @@ pub struct PhaseEnergy {
 
 /// Execute every Table I benchmark once (one node) under a trace session
 /// and read the per-phase energy split out of the span aggregates. Each
-/// workload runs inside its own `flight.workload` wrapper span, so the
-/// rollup stays correct even when other instrumented work shares the
-/// session window.
+/// workload runs inside its own `flight.workload` wrapper span, whose
+/// subtree is that workload's rollup.
 #[must_use]
 pub fn phase_energy(ctx: &StudyContext) -> PhaseEnergy {
     let benches = suite();

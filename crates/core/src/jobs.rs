@@ -182,9 +182,9 @@ fn as_count(v: &Value, key: &str) -> Result<usize, String> {
 /// The reproduction's [`JobHandler`]: specs validate against the
 /// benchmark suite, and a run is one §III-B measurement
 /// ([`protocol::measure`]) with the spec's repeats/sampling/cap applied.
-/// The service binds the job's trace session to the runner thread and
-/// keeps the whole measurement on it (`pool::serial`), so the per-repeat
-/// spans land in that job's trace alone.
+/// The service binds the job's trace session to the runner thread, so the
+/// per-repeat spans land in that job's trace alone, and keeps the whole
+/// measurement on that thread (`pool::serial`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ProtocolJobHandler;
 

@@ -426,13 +426,9 @@ mod tests {
         ctx.sampler = Sampler::new(0.25, 0.7, 0xBAD);
         ctx.min_coverage = 0.9; // unreachable: forces re-collections
 
-        // Bound to this thread, repeats inline: a global session would
-        // also count sibling tests' re-collections.
-        let session = vpp_substrate::trace::local_session(1 << 20);
-        let m = {
-            let _bind = session.bind();
-            vpp_substrate::pool::serial(|| measure(&bench, &RunConfig::nodes(1), &ctx))
-        };
+        // Repeats inline, on the thread the session is bound to.
+        let session = vpp_substrate::trace::session(1 << 20);
+        let m = vpp_substrate::pool::serial(|| measure(&bench, &RunConfig::nodes(1), &ctx));
         let report = session.finish();
         assert!(m.quality_flagged);
         assert_eq!(report.counters["protocol.recollections"], 2);

@@ -20,12 +20,14 @@
 //!   model ingredient draws from (re-exported by `vpp-sim` for its
 //!   historical `vpp_sim::Rng` path).
 //! * [`trace`] — a structured tracing + metrics substrate: a thread-safe
-//!   bounded recorder (installed per [`trace::session`]) collecting typed
-//!   spans ([`span!`]), marks, counters and gauges, with a near-zero-cost
-//!   no-op path when no recorder is installed.
+//!   bounded recorder (bound to the calling thread per [`trace::session`],
+//!   and inherited by [`par_map`] workers) collecting typed spans
+//!   ([`span!`]), marks, counters and gauges, with a near-zero-cost no-op
+//!   path when no session is bound.
 //! * [`serve`] — a std-only HTTP/1.1 observability server exposing the
-//!   live session over `GET /metrics` (Prometheus text), `/healthz` and
-//!   `/trace?format=json|jsonl|csv`, with a leak-free shutdown handle.
+//!   session it was started under over `GET /metrics` (Prometheus text),
+//!   `/healthz` and `/trace?format=json|jsonl|csv`, with a leak-free
+//!   shutdown handle.
 
 pub mod bench;
 pub mod json;

@@ -11,12 +11,18 @@
 //! protocol repeats); only the outermost level fans out, which keeps the
 //! thread count bounded by the machine width instead of the product of the
 //! nesting arities.
+//!
+//! Workers inherit the caller's trace session: whatever the calling thread
+//! has bound ([`crate::trace::session`]) is bound on every worker for the
+//! scope, so a traced run records the same events however it fans out.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use crate::trace::{self, LocalSession};
 
 thread_local! {
     /// True on threads already owned by a pool scope.
@@ -30,7 +36,8 @@ pub fn workers_for(n: usize) -> usize {
     cpus.min(n).max(1)
 }
 
-/// Map `f` over owned `items` in parallel, preserving input order.
+/// Map `f` over owned `items` in parallel, preserving input order. Each
+/// worker records into the caller's trace session, if it has one.
 ///
 /// A panic in `f` stops the pool handing out further items and is
 /// re-raised on the caller with its original payload once every worker
@@ -50,10 +57,12 @@ where
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let session = trace::current_session();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
                 IN_POOL.with(|flag| flag.set(true));
+                let _bind = session.as_ref().map(LocalSession::bind);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -97,11 +106,9 @@ where
 /// Run `f` with this thread marked as pool-owned, so any [`par_map`]
 /// issued inside runs inline on the calling thread instead of fanning out.
 ///
-/// This is how a job-service session keeps a whole workload on its one
-/// bound thread: the thread-local trace binding and the span stack are
-/// per-thread, so inner parallelism would escape the session's recorder.
-/// Concurrency then comes from running many sessions, not from threads
-/// within one. The previous mark is restored on exit (nesting is safe).
+/// This is how the job service keeps each job on its one runner thread:
+/// concurrency comes from running many jobs, not from threads within one.
+/// The previous mark is restored on exit (nesting is safe).
 pub fn serial<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

@@ -55,9 +55,12 @@
 //! branch on a stable member instead of scraping prose.
 //!
 //! The original endpoints remain: `GET /metrics` (process exposition —
-//! global session plus `vpp_up` / `vpp_serve_*` self-series), `GET
+//! the server's session plus `vpp_up` / `vpp_serve_*` self-series), `GET
 //! /healthz` (JSON run state) and `GET /trace?format=json|jsonl|csv`
-//! (whole-log snapshot of the *global* session). With `federate` peers
+//! (whole-log snapshot of the server's session). The server's session is
+//! the one bound to the thread that called [`serve_with`], if any; with
+//! none, `/metrics` carries only the self-series and `/trace` answers
+//! `503`. With `federate` peers
 //! configured, `/metrics` additionally scrapes each peer's `/metrics`
 //! and merges the expositions into one document, tagging every peer
 //! sample with a `peer="..."` label and reporting reachability as
@@ -111,6 +114,9 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on a request body (job specs are small documents).
 const MAX_BODY: usize = 256 * 1024;
+/// Upper bound on a federation peer's `/metrics` response, far above this
+/// service's own exposition. A peer that sends more counts as down.
+const MAX_PEER_RESPONSE: u64 = 4 << 20;
 /// Event budget for each job's private trace session.
 const JOB_TRACE_CAPACITY: usize = 1 << 20;
 /// `/jobs/<id>/trace` chunk size when the query does not pick one.
@@ -385,6 +391,9 @@ struct Shared {
     /// Per-route latency histograms and status counters, keyed by the
     /// normalised route pattern (see [`route_key`]).
     route_stats: Mutex<BTreeMap<&'static str, RouteStat>>,
+    /// The trace session `/trace`, `/metrics` and `/healthz` report on:
+    /// the one the caller had bound when it started the server.
+    session: Option<LocalSession>,
 }
 
 impl Shared {
@@ -412,7 +421,9 @@ pub fn serve(port: u16) -> std::io::Result<ServeHandle> {
     serve_with(ServeConfig::new(port))
 }
 
-/// Bind and start serving with an explicit configuration.
+/// Bind and start serving with an explicit configuration. `/trace`,
+/// `/metrics` and `/healthz` report on the trace session bound to the
+/// calling thread ([`trace::session`]), so open it before the server.
 ///
 /// # Errors
 /// Propagates the bind failure (port in use, permission).
@@ -443,6 +454,7 @@ pub fn serve_with(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
         jobs_evicted: AtomicU64::new(0),
         next_sweep_ms: AtomicU64::new(0),
         route_stats: Mutex::new(BTreeMap::new()),
+        session: trace::current_session(),
     });
     let worker_shared = Arc::clone(&shared);
     let acceptor = std::thread::Builder::new()
@@ -985,7 +997,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
             headers: Vec::new(),
             body: healthz_body(shared),
         },
-        ("GET", "/trace") => trace_response(query),
+        ("GET", "/trace") => trace_response(query, shared),
         ("GET", "/logs") => logs_response(query),
         ("POST", "/jobs") => post_job(&req.body, shared),
         ("GET", "/jobs") => jobs_list(shared),
@@ -1216,11 +1228,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         return;
     };
     // Bind the job's session to this thread and keep the whole workload
-    // here: pool::serial makes inner par_map fan-in, so instrumentation
-    // from every repeat lands in this job's recorder. Concurrency comes
-    // from running many sessions, not threads within one. catch_unwind
-    // keeps a panicking handler from stalling the queue (the binding is
-    // inside, so unwinding restores the thread's trace state).
+    // here (pool::serial): concurrency comes from running many jobs, not
+    // threads within one. catch_unwind keeps a panicking handler from
+    // stalling the queue (the binding is inside, so unwinding restores
+    // the thread's trace state).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _bind = session.bind();
         pool::serial(|| handler.run(&spec, &cancel))
@@ -1539,11 +1550,14 @@ fn form_decode(s: &str) -> Result<String, String> {
 
 /// Live session exposition plus the server's own series; with federation
 /// configured, peers' expositions are scraped and merged in with
-/// `peer="..."` labels. The session part is empty (not an error) when no
-/// recorder is installed, so a scraper configured before the run starts
-/// sees `vpp_up 1` immediately.
+/// `peer="..."` labels. The session part is empty (not an error) when the
+/// server holds no session, so a scraper still sees `vpp_up 1`.
 fn metrics_body(shared: &Arc<Shared>) -> String {
-    let mut out = trace::live_metrics().map(|m| m.to_prom()).unwrap_or_default();
+    let mut out = shared
+        .session
+        .as_ref()
+        .map(|s| s.metrics_snapshot().to_prom())
+        .unwrap_or_default();
     let uptime = shared.uptime_s();
     out.push_str("# TYPE vpp_up gauge\nvpp_up 1\n");
     out.push_str(&format!(
@@ -1695,7 +1709,8 @@ fn merge_exposition(
 }
 
 /// Minimal HTTP GET of a peer's `/metrics`. Accepts `host:port` or
-/// `http://host:port[/path]`; anything but a 200 is an error.
+/// `http://host:port[/path]`; anything but a 200 is an error, and so is a
+/// response longer than [`MAX_PEER_RESPONSE`].
 fn scrape_peer(peer: &str) -> Result<String, String> {
     let rest = peer.strip_prefix("http://").unwrap_or(peer);
     let (hostport, path) = match rest.find('/') {
@@ -1718,8 +1733,14 @@ fn scrape_peer(peer: &str) -> Result<String, String> {
     .map_err(|e| format!("send to {addr}: {e}"))?;
     let mut raw = String::new();
     stream
+        .take(MAX_PEER_RESPONSE + 1)
         .read_to_string(&mut raw)
         .map_err(|e| format!("read from {addr}: {e}"))?;
+    if raw.len() as u64 > MAX_PEER_RESPONSE {
+        return Err(format!(
+            "peer {addr} sent more than {MAX_PEER_RESPONSE} bytes"
+        ));
+    }
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .or_else(|| raw.split_once("\n\n"))
@@ -1750,7 +1771,7 @@ fn healthz_body(shared: &Arc<Shared>) -> String {
             Value::Str(lock(&shared.workload).clone()),
         ),
         ("uptime_s".to_string(), Value::Num(shared.uptime_s())),
-        ("tracing".to_string(), Value::Bool(trace::enabled())),
+        ("tracing".to_string(), Value::Bool(shared.session.is_some())),
         (
             "requests".to_string(),
             Value::Num(shared.requests.load(Ordering::SeqCst) as f64),
@@ -1790,7 +1811,7 @@ fn healthz_body(shared: &Arc<Shared>) -> String {
     doc
 }
 
-fn trace_response(query: &str) -> Response {
+fn trace_response(query: &str, shared: &Arc<Shared>) -> Response {
     let params = match parse_query(query, &["format"]) {
         Ok(p) => p,
         Err(e) => return Response::error(400, "Bad Request", format!("{e}\n")),
@@ -1817,14 +1838,15 @@ fn trace_response(query: &str) -> Response {
             ),
         );
     }
-    match trace::live_report() {
-        Some(report) => Response {
+    match &shared.session {
+        Some(session) => Response {
             status: 200,
             reason: "OK",
             content_type: fmt.content_type(),
             allow: None,
             headers: Vec::new(),
-            body: report
+            body: session
+                .snapshot()
                 .render(fmt)
                 .expect("json|jsonl|csv always serialise"),
         },
@@ -1980,6 +2002,10 @@ mod tests {
         let (status, _, body) = get(h.addr(), "/healthz");
         assert_eq!(status, 200);
         assert!(body.contains("\"state\": \"idle\""), "{body}");
+        assert!(
+            body.contains("\"tracing\": false"),
+            "no session bound: {body}"
+        );
         h.set_state(RunState::Running);
         h.run_completed();
         let (_, _, body) = get(h.addr(), "/healthz");

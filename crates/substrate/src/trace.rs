@@ -4,9 +4,9 @@
 //! the SCF planner, the power-cap controller, the telemetry pipeline and the
 //! §III-B measurement protocol — emits *typed spans*, *marks*, *counters*
 //! and *gauges* through this module. Instrumentation is compiled in
-//! unconditionally but costs a single relaxed atomic load when no recorder
-//! is installed, so the hot paths (event delivery, per-op execution) stay at
-//! their benchmarked throughput unless a trace session is active.
+//! unconditionally but costs one thread-local read when no session is
+//! bound to the thread, so the hot paths (event delivery, per-op execution)
+//! stay at their benchmarked throughput unless a trace session is active.
 //!
 //! # Model
 //!
@@ -29,15 +29,19 @@
 //! accounting, read back exactly-once via [`logs_after`] cursors (the
 //! serve module's `GET /logs`).
 //!
-//! A session installs one process-global recorder with a bounded event
+//! Every session is a [`LocalSession`]: a recorder with a bounded event
 //! budget (overflow drops the newest events and counts them, so a
-//! truncated trace is detectable rather than silently misleading).
+//! truncated trace is detectable rather than silently misleading) that
+//! records only on threads bound to it. [`session`] binds a fresh one to
+//! the calling thread. Threads the substrate starts on that thread's
+//! behalf inherit the binding — [`par_map`](crate::pool::par_map) workers,
+//! and the `serve` module's views — and no other thread sees it, so
+//! concurrent sessions (parallel tests, service jobs) never mix.
 //! Events are staged in **thread-local buffers** and flushed in bulk —
 //! when a buffer fills, when a thread's outermost span for the session
-//! closes, and at [`Session::finish`] — so the enabled path costs one
+//! closes, and when a binding ends — so the enabled path costs one
 //! uncontended lock per event instead of serialising every instrumented
-//! thread on a global ring mutex. Sessions are serialised on a static
-//! mutex: parallel tests each get an exclusive, uncontaminated window.
+//! thread on a shared ring mutex.
 //!
 //! # Flight-recorder surface
 //!
@@ -69,8 +73,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::json::Value;
@@ -274,7 +278,7 @@ const FLUSH_BATCH: usize = 256;
 
 type EventBuffer = Arc<Mutex<Vec<Event>>>;
 
-/// The installed recorder backing one [`Session`].
+/// The recorder behind one [`LocalSession`] and its clones.
 struct Recorder {
     id: u64,
     start: Instant,
@@ -484,9 +488,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -501,56 +502,32 @@ thread_local! {
     /// session id (a linear scan by metric name — sessions record a
     /// handful of distinct histograms).
     static TL_HIST: RefCell<Option<(u64, Vec<Arc<HistogramShard>>)>> = const { RefCell::new(None) };
-    /// Recorder bound to this thread by a [`LocalBinding`]; shadows the
-    /// process-global recorder for instrumentation on this thread.
+    /// Recorder bound to this thread by a [`LocalBinding`], if any.
     static LOCAL_REC: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
     /// Cheap mirror of `LOCAL_REC.is_some()` for the [`enabled`] fast path.
     static LOCAL_ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether instrumentation on this thread records anywhere: a recorder is
-/// installed process-wide, or a [`LocalSession`] is bound to this thread.
-/// The fast path stays one relaxed atomic load plus one thread-local read.
+/// Whether instrumentation on this thread records anywhere, i.e. whether
+/// a session is bound to it. One thread-local read.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) || LOCAL_ACTIVE.with(Cell::get)
+    LOCAL_ACTIVE.with(Cell::get)
 }
 
 fn current() -> Option<Arc<Recorder>> {
-    if LOCAL_ACTIVE.with(Cell::get) {
-        if let Some(rec) = LOCAL_REC.with(|l| l.borrow().clone()) {
-            return Some(rec);
-        }
-    }
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !enabled() {
         return None;
     }
-    RECORDER
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
+    LOCAL_REC.with(|l| l.borrow().clone())
 }
 
-/// Live, non-draining copy of the *current* session's trace — events
-/// staged so far (open spans included, their exits still pending),
-/// counters, gauges and the dropped count. `None` when no session is
-/// active. Unlike [`Session::finish`] this leaves the recorder installed
-/// and running, so a scraper (the `serve` module's `/trace` endpoint) can
-/// read an in-flight run from any thread without owning the [`Session`].
-#[must_use]
-pub fn live_report() -> Option<TraceReport> {
-    current().map(|rec| rec.snapshot())
-}
-
-/// Live [`MetricsSnapshot`] of the current session — counters, gauges and
-/// span-duration summaries over the events recorded so far (open spans
-/// count with zero duration until they close). `None` when no session is
-/// active. Counters read here are monotone across successive calls, which
-/// is what makes the `/metrics` exposition scrape-safe mid-run.
-#[must_use]
-pub fn live_metrics() -> Option<MetricsSnapshot> {
-    live_report().map(|r| r.metrics_snapshot())
+/// The session bound to this thread, for the threads the substrate starts
+/// on its behalf to inherit: [`par_map`](crate::pool::par_map) workers and
+/// the `serve` module's views.
+pub(crate) fn current_session() -> Option<LocalSession> {
+    current().map(|rec| LocalSession { rec })
 }
 
 fn thread_ordinal(rec: &Recorder) -> u32 {
@@ -571,109 +548,51 @@ fn thread_ordinal(rec: &Recorder) -> u32 {
     })
 }
 
-/// An exclusive tracing window. Created by [`session`]; instrumentation
-/// anywhere in the process records into it until [`Session::finish`] (or
-/// drop) uninstalls the recorder.
+/// A trace session bound to the thread that opened it. Created by
+/// [`session`]; instrumentation on that thread — and on the pool workers
+/// and servers it starts — records into it until [`Session::finish`] (or
+/// drop) unbinds it. Dereferences to its [`LocalSession`] for live reads
+/// ([`LocalSession::snapshot`], [`LocalSession::metrics_snapshot`]) and for
+/// binding further threads.
 pub struct Session {
-    rec: Arc<Recorder>,
-    _excl: MutexGuard<'static, ()>,
+    local: LocalSession,
+    bind: LocalBinding,
 }
 
-/// Install a recorder with room for `capacity` events and return the
-/// session handle. Blocks until any other live session ends, so
-/// concurrent tests never interleave their traces.
+/// Open a session with room for `capacity` events, bound to the calling
+/// thread. Opened while another session is bound, it shadows that one
+/// until it ends, like a nested [`LocalSession::bind`].
 #[must_use]
 pub fn session(capacity: usize) -> Session {
-    let excl = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let rec = Arc::new(Recorder {
-        id: NEXT_SESSION_ID.fetch_add(1, Ordering::SeqCst),
-        start: Instant::now(),
-        cap: capacity,
-        admitted: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-        central: Mutex::new(Vec::new()),
-        buffers: Mutex::new(Vec::new()),
-        counters: Mutex::new(BTreeMap::new()),
-        gauges: Mutex::new(BTreeMap::new()),
-        hist_shards: Mutex::new(Vec::new()),
-        threads: Mutex::new(Vec::new()),
-    });
-    *RECORDER.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&rec));
-    ENABLED.store(true, Ordering::SeqCst);
-    Session { rec, _excl: excl }
+    let local = local_session(capacity);
+    let bind = local.bind();
+    Session { local, bind }
 }
 
 impl Session {
-    /// Counters and gauges accumulated so far, without ending the session.
-    /// Span-duration summaries need the full event log, so the live
-    /// snapshot leaves [`MetricsSnapshot::spans`] empty; counters read
-    /// here are monotone across successive calls.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: lock(&self.rec.counters)
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), *v))
-                .collect(),
-            gauges: lock(&self.rec.gauges)
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), *v))
-                .collect(),
-            histograms: self
-                .rec
-                .fold_histograms()
-                .into_iter()
-                .map(|(k, h)| (k.to_string(), h))
-                .collect(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// Uninstall the recorder and return everything it captured.
+    /// Unbind the session and return everything it captured.
     #[must_use]
     pub fn finish(self) -> TraceReport {
-        let rec = Arc::clone(&self.rec);
-        drop(self); // uninstalls
-        let dropped = rec.dropped.load(Ordering::SeqCst);
-        // Central batches first, then per-thread stragglers: a thread's
-        // staged events are strictly later than its flushed ones, so every
-        // per-thread subsequence stays ordered; the stable sort by
-        // timestamp then rebuilds a coherent global order without ever
-        // reordering a thread against itself.
-        let mut events = std::mem::take(&mut *lock(&rec.central));
-        for buf in lock(&rec.buffers).iter() {
-            events.append(&mut *lock(buf));
-        }
-        events.sort_by_key(|e| e.t_ns);
-        let counters = std::mem::take(&mut *lock(&rec.counters));
-        let gauges = std::mem::take(&mut *lock(&rec.gauges));
-        let histograms = rec.drain_histograms();
-        TraceReport {
-            events,
-            counters,
-            gauges,
-            histograms,
-            dropped,
-        }
+        let Session { local, bind } = self;
+        drop(bind);
+        local.finish()
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        *RECORDER.write().unwrap_or_else(PoisonError::into_inner) = None;
+impl std::ops::Deref for Session {
+    type Target = LocalSession;
+
+    fn deref(&self) -> &LocalSession {
+        &self.local
     }
 }
 
-/// A per-job tracing session that is *not* installed process-globally.
-///
-/// Unlike [`session`], which takes the exclusive session lock and routes
-/// every instrumented thread in the process into one recorder, a
-/// `LocalSession` only captures events from threads that explicitly
-/// [`bind`](LocalSession::bind) it. Any number of local sessions can run
+/// A tracing session: a recorder that captures events only from threads
+/// bound to it ([`LocalSession::bind`]). Any number of sessions can run
 /// concurrently — the multi-tenant job service gives each job its own —
-/// and a bound local session shadows the global recorder on that thread,
-/// so concurrent jobs produce disjoint traces.
+/// and because a binding belongs to one thread, concurrent sessions
+/// produce disjoint traces. [`session`] creates one already bound to the
+/// calling thread.
 ///
 /// Cloning is cheap (an `Arc` bump); every clone reads and writes the same
 /// recorder, which is how the service thread snapshots a trace while the
@@ -684,9 +603,7 @@ pub struct LocalSession {
 }
 
 /// Create a detached recorder with room for `capacity` events. Nothing
-/// records into it until a thread binds it via [`LocalSession::bind`];
-/// creation neither takes the global session lock nor touches the
-/// installed recorder.
+/// records into it until a thread binds it via [`LocalSession::bind`].
 #[must_use]
 pub fn local_session(capacity: usize) -> LocalSession {
     LocalSession {
@@ -722,8 +639,11 @@ impl LocalSession {
         }
     }
 
-    /// Live, non-draining copy of everything captured so far — same
-    /// semantics as [`live_report`], but for this session.
+    /// Live, non-draining copy of everything captured so far — events
+    /// staged so far (open spans included, their exits still pending),
+    /// counters, gauges, histograms and the dropped count. The session
+    /// keeps recording, so a scraper (the `serve` module's `/trace`
+    /// endpoint) can read an in-flight run from another thread.
     #[must_use]
     pub fn snapshot(&self) -> TraceReport {
         self.rec.snapshot()
@@ -766,9 +686,11 @@ impl LocalSession {
     pub fn finish(self) -> TraceReport {
         let rec = self.rec;
         let dropped = rec.dropped.load(Ordering::SeqCst);
-        // Same order as Session::finish: central batches first, then
-        // per-thread stragglers, then a stable sort by timestamp — every
-        // per-thread subsequence stays ordered.
+        // Central batches first, then per-thread stragglers: a thread's
+        // staged events are strictly later than its flushed ones, so every
+        // per-thread subsequence stays ordered; the stable sort by
+        // timestamp then rebuilds a coherent global order without ever
+        // reordering a thread against itself.
         let mut events = std::mem::take(&mut *lock(&rec.central));
         for buf in lock(&rec.buffers).iter() {
             events.append(&mut *lock(buf));
@@ -846,9 +768,9 @@ struct ActiveSpan {
 }
 
 impl SpanGuard {
-    /// Open a span. `fields` is only invoked when a recorder is installed,
-    /// so argument formatting costs nothing on the disabled path. Prefer
-    /// the [`span!`](crate::span) macro.
+    /// Open a span. `fields` is only invoked when a session is bound to
+    /// this thread, so argument formatting costs nothing on the disabled
+    /// path. Prefer the [`span!`](crate::span) macro.
     #[must_use]
     pub fn open<F: FnOnce() -> Vec<Field>>(name: &'static str, fields: F) -> SpanGuard {
         let Some(rec) = current() else {
@@ -2277,8 +2199,8 @@ pub struct SpanSummary {
 }
 
 /// A scrape-ready view of a session's metrics: counters, gauges, and
-/// span-duration summaries. Produced live via [`Session::metrics_snapshot`]
-/// (counters/gauges only) or from a finished report via
+/// span-duration summaries. Produced live via
+/// [`LocalSession::metrics_snapshot`] or from a finished report via
 /// [`TraceReport::metrics_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
@@ -2468,11 +2390,13 @@ mod tests {
     #[test]
     fn cross_thread_spans_have_independent_parents() {
         let s = session(1024);
+        let sess: &LocalSession = &s;
         {
             let _root = span!("root");
             std::thread::scope(|scope| {
                 for _ in 0..4 {
                     scope.spawn(|| {
+                        let _bind = sess.bind();
                         let _w = span!("worker");
                     });
                 }
@@ -2493,10 +2417,12 @@ mod tests {
     #[test]
     fn buffered_appends_survive_unflushed_threads_and_preserve_order() {
         // More events than one FLUSH_BATCH on the main thread plus worker
-        // threads that never hit a flush point other than root-span exit:
-        // everything must still land in the report, per-thread order
-        // intact (well_formed checks the Enter/Exit pairing per thread).
+        // threads whose trailing marks stay staged until their binding
+        // ends: everything must still land in the report, per-thread
+        // order intact (well_formed checks the Enter/Exit pairing per
+        // thread).
         let s = session(1 << 14);
+        let sess: &LocalSession = &s;
         {
             let _root = span!("root");
             for _ in 0..(FLUSH_BATCH + 17) {
@@ -2505,6 +2431,7 @@ mod tests {
             std::thread::scope(|scope| {
                 for _ in 0..3 {
                     scope.spawn(|| {
+                        let _bind = sess.bind();
                         for _ in 0..5 {
                             let _w = span!("worker.iter");
                         }
@@ -2716,14 +2643,13 @@ mod tests {
     }
 
     #[test]
-    fn live_report_is_non_draining_and_sees_open_spans() {
-        assert!(live_report().is_none(), "no session, no live report");
+    fn live_snapshot_is_non_draining_and_sees_open_spans() {
         let s = session(4096);
         let live = {
             let mut g = span!("live.outer", nodes = 2);
             counter("live.ticks", 3);
             gauge("live.coverage", 0.75);
-            let live = live_report().expect("session active");
+            let live = s.snapshot();
             g.record("done", true);
             live
         };
@@ -2733,7 +2659,7 @@ mod tests {
         assert_eq!(spans[0].name, "live.outer");
         assert!(spans[0].t_exit_ns.is_none(), "span was still open");
         assert_eq!(live.counters["live.ticks"], 3);
-        let metrics = live_metrics().expect("still active");
+        let metrics = s.metrics_snapshot();
         assert!((metrics.gauges["live.coverage"] - 0.75).abs() < 1e-12);
         assert!(metrics.spans.iter().any(|s| s.name == "live.outer"));
         // The snapshot drained nothing: finish still sees everything.
@@ -2741,25 +2667,27 @@ mod tests {
         assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
         assert_eq!(report.spans().len(), 1);
         assert_eq!(report.counters["live.ticks"], 3);
-        assert!(live_report().is_none(), "finish uninstalls the recorder");
+        assert!(!enabled(), "finish unbinds the session");
     }
 
     #[test]
-    fn live_report_under_concurrent_writers_does_not_deadlock() {
+    fn live_snapshot_under_concurrent_writers_does_not_deadlock() {
         // Writers batch-flush (buffer lock → central lock) while the main
         // thread snapshots (central lock, then buffer locks one at a
         // time); this storms both paths together.
         let s = session(1 << 16);
+        let sess: &LocalSession = &s;
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let _bind = sess.bind();
                     for _ in 0..(2 * FLUSH_BATCH) {
                         let _g = span!("storm.iter");
                     }
                 });
             }
             for _ in 0..50 {
-                let _ = live_report();
+                let _ = sess.snapshot();
             }
         });
         let report = s.finish();
@@ -2811,11 +2739,18 @@ mod tests {
         counter("mono.ticks", 2);
         let first = s.metrics_snapshot();
         counter("mono.ticks", 3);
+        {
+            let _g = span!("mono.span");
+        }
         let second = s.metrics_snapshot();
         let _ = s.finish();
         assert_eq!(first.counters["mono.ticks"], 2);
         assert_eq!(second.counters["mono.ticks"], 5);
-        assert!(first.spans.is_empty(), "live snapshots skip span summaries");
+        assert!(first.spans.is_empty());
+        assert!(
+            second.spans.iter().any(|sp| sp.name == "mono.span"),
+            "live snapshots carry span summaries"
+        );
     }
 
     #[test]
@@ -2851,18 +2786,78 @@ mod tests {
 
     #[test]
     fn local_binding_shadows_and_restores() {
-        // No global recorder: the binding alone turns instrumentation on.
-        let sess = local_session(64);
-        assert!(live_report().is_none());
+        let names = |r: &TraceReport| r.marks().iter().map(|m| m.name).collect::<Vec<_>>();
+        assert!(!enabled());
+        let outer = session(64);
+        mark("outer.before");
+        let local = local_session(64);
         {
-            let _bind = sess.bind();
-            assert!(enabled(), "binding enables this thread");
+            let _bind = local.bind();
             mark("local.mark");
         }
-        mark("after.unbind"); // no recorder anywhere: dropped silently
-        let report = sess.finish();
-        assert_eq!(report.marks().len(), 1);
-        assert_eq!(report.marks()[0].name, "local.mark");
+        // A second session on the same thread shadows the first too.
+        let inner = session(64);
+        mark("inner.mark");
+        let inner = inner.finish();
+        mark("outer.after");
+        let outer = outer.finish();
+        assert!(!enabled(), "finishing the outer session unbinds the thread");
+        mark("after.unbind"); // nothing bound: dropped silently
+        assert_eq!(names(&outer), ["outer.before", "outer.after"]);
+        assert_eq!(names(&local.finish()), ["local.mark"]);
+        assert_eq!(names(&inner), ["inner.mark"]);
+    }
+
+    #[test]
+    fn sessions_stay_on_their_thread_and_pass_to_pool_workers() {
+        // A thread started with std::thread::spawn sees none of the
+        // caller's session, and can run its own alongside it.
+        let s = session(1 << 12);
+        mark("caller.mark");
+        let theirs = std::thread::spawn(|| {
+            assert!(!enabled(), "a spawned thread inherits no session");
+            mark("spawned.unbound");
+            let own = session(64);
+            mark("spawned.own");
+            own.finish()
+        })
+        .join()
+        .expect("spawned thread");
+        assert_eq!(theirs.marks().len(), 1);
+        assert_eq!(theirs.marks()[0].name, "spawned.own");
+
+        // Pool workers inherit the caller's session for the scope.
+        let on = crate::pool::par_map((0..32u64).collect(), |i| {
+            let _g = span!("pool.item", i = i);
+            enabled()
+        });
+        assert!(on.iter().all(|e| *e), "every worker records");
+        let report = s.finish();
+        assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
+        let marks: Vec<&str> = report.marks().iter().map(|m| m.name).collect();
+        assert_eq!(
+            marks,
+            ["caller.mark"],
+            "the spawned thread's marks stay out"
+        );
+        let items: Vec<SpanRecord> = report
+            .spans()
+            .into_iter()
+            .filter(|sp| sp.name == "pool.item")
+            .collect();
+        assert_eq!(items.len(), 32);
+        if crate::pool::workers_for(32) > 1 {
+            // A fanned-out par_map runs every item on a worker thread.
+            let caller = report.marks()[0].thread;
+            assert!(
+                items.iter().all(|sp| sp.thread != caller),
+                "items ran on workers"
+            );
+        }
+
+        // With no session bound, the workers record nothing.
+        let off = crate::pool::par_map((0..32u64).collect(), |_| enabled());
+        assert!(off.iter().all(|e| !*e));
     }
 
     #[test]

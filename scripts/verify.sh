@@ -20,6 +20,12 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline -- --test-threads=1 (catches order dependence)"
 cargo test -q --offline --workspace -- --test-threads=1
 
+echo "==> cargo test -q --offline -- --test-threads=8 (catches shared state between tests)"
+# The harness defaults to one test thread per core. On a 2-core machine
+# that default hid a race between tests on the old process-global trace
+# recorder; 8 threads (the default on an 8-core machine) exposed it.
+cargo test -q --offline --workspace -- --test-threads=8
+
 echo "==> fault-injection smoke (examples/dirty_telemetry)"
 cargo run -q --release --offline --example dirty_telemetry
 

@@ -25,34 +25,42 @@ use vpp_core::protocol::StudyContext;
 type SectionOut = Vec<(&'static str, String, String)>;
 type Job = Box<dyn Fn() -> SectionOut + Send + Sync>;
 
+/// Every section name the command line may select.
+const SECTIONS: &str = "table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
+                        fig13 predict phase_energy campaign_contention";
+
+/// Reject the command line: one error line plus the usage line, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    eprintln!("usage: repro [--quick] [--csv DIR] [SECTION...] (sections: {SECTIONS})");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .map(|i| args.get(i + 1).expect("--csv needs a directory").clone());
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("cannot create the CSV directory");
+    let mut quick = false;
+    let mut csv_dir: Option<String> = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--csv" => match args.next() {
+                Some(dir) if !dir.starts_with("--") => csv_dir = Some(dir),
+                _ => usage_error("--csv needs a directory"),
+            },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
+            name if !SECTIONS.split_whitespace().any(|s| s == name) => {
+                usage_error(&format!("unknown section '{name}'"))
+            }
+            _ => selected.push(arg),
+        }
     }
-    let selected: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--csv" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(String::as_str)
-            .collect()
-    };
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            usage_error(&format!("cannot create the CSV directory '{dir}': {e}"));
+        }
+    }
+    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
 
     let ctx = if quick {
         StudyContext::quick()
@@ -182,14 +190,6 @@ fn main() {
             let r = vpp_powercap::campaign::contention_report();
             vec![("campaign_contention", r.to_string(), r.csv())]
         }));
-    }
-
-    if jobs.is_empty() {
-        eprintln!(
-            "nothing matched {selected:?}; known: table1 fig1..fig13 predict \
-             phase_energy campaign_contention (plus --quick, --csv DIR)"
-        );
-        std::process::exit(2);
     }
 
     let wall = Instant::now();

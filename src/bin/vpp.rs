@@ -545,12 +545,12 @@ fn cmd_profile(p: &Parsed) -> Result<(), String> {
         Some(c) => protocol::RunConfig::capped(nodes, c),
         None => protocol::RunConfig::nodes(nodes),
     };
+    // The server reports on the session bound when it starts, so open one
+    // for it to scrape even though `profile` keeps no trace of its own.
+    let _session = p
+        .has("metrics-port")
+        .then(|| trace::session(flight::SESSION_CAPACITY));
     let server = start_server(p)?;
-    // The endpoint reads the live global recorder, so give it a session
-    // to scrape even though `profile` keeps no trace of its own.
-    let _session = server
-        .as_ref()
-        .map(|_| trace::session(flight::SESSION_CAPACITY));
     if let Some(h) = &server {
         h.set_workload(bench.name(), 1);
         h.set_state(RunState::Running);
@@ -576,10 +576,10 @@ fn cmd_caps(p: &Parsed) -> Result<(), String> {
     let bench = resolve(target)?;
     let nodes = flag_parse(p, "nodes")?.unwrap_or(bench.cap_study_nodes);
     let c = ctx(p.has("quick"));
+    let _session = p
+        .has("metrics-port")
+        .then(|| trace::session(flight::SESSION_CAPACITY));
     let server = start_server(p)?;
-    let _session = server
-        .as_ref()
-        .map(|_| trace::session(flight::SESSION_CAPACITY));
     if let Some(h) = &server {
         h.set_workload(bench.name(), 4);
         h.set_state(RunState::Running);
@@ -1094,8 +1094,8 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
     // One traced run: the span tree of a single execution, not the
     // protocol's repeat spread.
     c.repeats = 1;
-    let server = start_server(p)?;
     let session = trace::session(1 << 20);
+    let server = start_server(p)?;
     if let Some(h) = &server {
         h.set_workload(bench.name(), 1);
         h.set_state(RunState::Running);
@@ -1200,16 +1200,17 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     if let Some(raw) = p.value("job-ttl") {
         serve_cfg = serve_cfg.job_ttl(parse_duration(raw).map_err(|e| format!("--job-ttl: {e}"))?);
     }
+    // The server reports on the session bound when it starts. It stays
+    // open for the life of the process so late scrapes keep seeing the
+    // final trace state; POSTed jobs record into their own sessions and
+    // leave this one alone.
+    let _session = trace::session(flight::SESSION_CAPACITY);
     let handle =
         serve::serve_with(serve_cfg).map_err(|e| format!("cannot bind metrics port {port}: {e}"))?;
     println!("serving on http://{}", handle.addr());
     println!("endpoints   : /metrics /healthz /trace?format=json|jsonl|csv /logs?after=SEQ&level=warn");
     println!("job service : POST /jobs, GET /jobs, DELETE /jobs/<id>, /jobs/<id>[/trace?after=SEQ|/metrics]");
     flush_stdout();
-    // The session stays open for the life of the process so late scrapes
-    // keep seeing the final trace state; POSTed jobs record into their
-    // own per-session recorders and leave this one alone.
-    let _session = trace::session(flight::SESSION_CAPACITY);
     if let Some(bench) = &bench {
         let cfg = match cap {
             Some(c) => protocol::RunConfig::capped(nodes, c),

@@ -1,4 +1,4 @@
-//! Integration tests for the `vpp` CLI binary.
+//! Integration tests for the `vpp` and `repro` CLI binaries.
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
@@ -7,6 +7,39 @@ use std::time::{Duration, Instant};
 
 fn vpp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vpp"))
+}
+
+fn repro() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+#[test]
+fn repro_rejects_bad_arguments_with_usage_and_exit_2() {
+    // A regular file cannot hold a directory, so `<file>/out` is
+    // uncreatable even for root.
+    let file = std::env::temp_dir().join(format!("vpp_repro_cli_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("write scratch file");
+    let uncreatable = file.join("out");
+    let uncreatable = uncreatable.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], &str); 4] = [
+        (&["--csv"], "--csv needs a directory"),
+        (
+            &["--csv", uncreatable, "table1"],
+            "cannot create the CSV directory",
+        ),
+        (&["--qiuck", "table1"], "unknown flag '--qiuck'"),
+        (&["nosuch"], "unknown section 'nosuch'"),
+    ];
+    for (args, reason) in cases {
+        let out = repro().args(args).output().expect("repro runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {err}");
+        assert!(err.contains(reason), "repro {args:?}: {err}");
+        assert!(err.contains("usage: repro"), "repro {args:?}: {err}");
+        assert_eq!(err.lines().count(), 2, "one error line plus usage: {err}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran a section");
+    }
+    let _ = std::fs::remove_file(&file);
 }
 
 #[test]

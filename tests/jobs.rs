@@ -823,13 +823,49 @@ fn federated_metrics_carry_both_peers_series() {
         let l = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve a port");
         l.local_addr().expect("local addr")
     };
-    let fed2 = serve_with(ServeConfig::new(0).federate(vec![dead.to_string()]))
-        .expect("bind second federated instance");
+    // So does a peer that answers 200 and then keeps writing: the scraper
+    // stops reading at its response bound, far below the flood.
+    const FLOOD_BYTES: usize = 64 << 20;
+    let flood = std::net::TcpListener::bind("127.0.0.1:0").expect("bind flooding peer");
+    let flood_addr = flood.local_addr().expect("local addr");
+    let flooder = std::thread::spawn(move || {
+        let (mut s, _) = flood.accept().expect("the scrape connects");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut head, mut byte) = (Vec::new(), [0u8; 1]);
+        while !head.ends_with(b"\r\n\r\n") && s.read(&mut byte).is_ok_and(|n| n == 1) {
+            head.push(byte[0]);
+        }
+        let chunk = "vpp_flood_total 1\n".repeat(4096);
+        let mut sent = 0;
+        if s.write_all(b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n")
+            .is_ok()
+        {
+            while sent < FLOOD_BYTES && s.write_all(chunk.as_bytes()).is_ok() {
+                sent += chunk.len();
+            }
+        }
+        sent
+    });
+    let fed2 =
+        serve_with(ServeConfig::new(0).federate(vec![dead.to_string(), flood_addr.to_string()]))
+            .expect("bind second federated instance");
     let (status, _, body) = get(fed2.addr(), "/metrics");
     assert_eq!(status, 200);
+    for peer in [dead, flood_addr] {
+        assert!(
+            body.contains(&format!("vpp_federate_peer_up{{peer=\"{peer}\"}} 0")),
+            "{body}"
+        );
+    }
     assert!(
-        body.contains(&format!("vpp_federate_peer_up{{peer=\"{dead}\"}} 0")),
-        "{body}"
+        !body.contains("vpp_flood_total"),
+        "nothing from the flood is merged"
+    );
+    let sent = flooder.join().expect("flooding peer");
+    assert!(
+        sent < FLOOD_BYTES,
+        "the scraper read the whole flood ({sent} bytes)"
     );
 
     fed2.shutdown();

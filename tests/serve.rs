@@ -3,8 +3,9 @@
 //! text parsing, `/healthz` state transitions, request rejection, and
 //! leak-free shutdown.
 //!
-//! The server reads process-global trace state, so the tests serialize on
-//! a lock instead of trusting the harness' thread scheduling.
+//! The thread-count checks and the `/logs` journal are process-wide, so
+//! the tests serialize on a lock instead of trusting the harness' thread
+//! scheduling.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Write as _};
@@ -341,8 +342,12 @@ fn histogram_exposition_is_cumulative_and_internally_consistent() {
         trace::histogram_count("power_watts", watts, 3);
     }
     let h = serve(0).expect("bind ephemeral");
-    let (status, _, _) = get(h.addr(), "/healthz"); // populates per-route stats
+    let (status, _, health) = get(h.addr(), "/healthz"); // populates per-route stats
     assert_eq!(status, 200);
+    assert!(
+        health.contains("\"tracing\": true"),
+        "started under a session: {health}"
+    );
     let (status, _, body) = get(h.addr(), "/metrics");
     assert_eq!(status, 200);
 
