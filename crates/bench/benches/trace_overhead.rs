@@ -17,7 +17,8 @@ fn main() {
     let mut h = Harness::new("trace_overhead");
 
     // Primitive costs with no session bound: one thread-local read each.
-    // The field closures must not run at all.
+    // The field closures must not run, and a histogram must not resolve
+    // its bucket table.
     h.bench("span_open_close_disabled", || {
         let mut s = span!("bench.span", payload = 42u64);
         s.record("exit_payload", 1.0);
@@ -35,12 +36,11 @@ fn main() {
 
     // Per-event cost with a live recorder, in the steady-state shape the
     // simulator produces: short spans nested under a long-lived root
-    // (`job.execute`, `powercap.cycle`, …), so staged events batch-flush
-    // instead of flushing at every span exit. The session recycles
-    // (finish + reopen) every 2^18 calls, well before its 2^20-event
-    // budget fills; the recycle lands in ~1% of timed batches and the
-    // harness reports a median over batches, so the steady-state append
-    // cost is what's recorded.
+    // (`job.execute`, `powercap.cycle`, …). Each event is one append under
+    // the session's lock. The session recycles (finish + reopen) every
+    // 2^18 calls, well before its 2^20-event budget fills; the recycle
+    // lands in ~1% of timed batches and the harness reports a median over
+    // batches, so the steady-state append cost is what's recorded.
     {
         let open = || {
             let session = trace::session(1 << 20);
@@ -64,10 +64,10 @@ fn main() {
         h.bench("counter_enabled", || {
             trace::counter("bench.counter", 1);
         });
-        // The histogram acceptance bound: recording into a live
-        // per-thread shard must cost no more than 2x a counter increment
-        // (one bucket scan + three relaxed atomics vs one map update
-        // behind the staging lock).
+        // The histogram acceptance bound: recording into a live session
+        // must cost no more than 2x a counter increment (both are one map
+        // lookup under the session's lock; the histogram adds a bucket
+        // scan).
         let mut v = 0u64;
         h.bench("histogram_enabled", || {
             v = (v + 37) % 520;
@@ -80,10 +80,8 @@ fn main() {
         black_box(n);
     }
 
-    // The contended case the buffered appends exist for: 8 workers each
-    // recording 4096 nested spans concurrently. With per-thread staging
-    // the workers only meet at batch-flush boundaries instead of on
-    // every event.
+    // The contended case: 8 workers each recording 4096 nested spans
+    // concurrently into one session, meeting on its lock at every event.
     {
         let mut session = Some(trace::session(1 << 20));
         let mut n = 0u64;

@@ -3,7 +3,7 @@
 //!
 //! A *baseline* is captured by running the §III-B protocol under a trace
 //! session and rolling the event log up into per-span-name totals: the
-//! whole-run [`TraceAggregate`] plus one aggregate per `protocol.repeat`
+//! whole-run [`TraceAggregate`](trace::TraceAggregate) plus one aggregate per `protocol.repeat`
 //! subtree. The recipe is pinned ([`baseline_ctx`] / [`baseline_cfg`]) so
 //! a stored baseline and a later re-run are comparable sample-for-sample;
 //! the simulator is deterministic per seed, so an unperturbed re-run

@@ -6,7 +6,7 @@
 //! implementation — a `POST /jobs` body is parsed into a
 //! [`ServiceJobSpec`], checked against the Table I benchmark recipes and
 //! the §III-B protocol's parameter ranges, and executed with
-//! [`protocol::measure`] under the job's own trace session.
+//! [`protocol::measure`](crate::protocol::measure) under the job's own trace session.
 
 use crate::benchmarks::{suite, Benchmark};
 use crate::protocol::{measure_cancellable, Canceled, RunConfig, StudyContext};
@@ -181,7 +181,7 @@ fn as_count(v: &Value, key: &str) -> Result<usize, String> {
 
 /// The reproduction's [`JobHandler`]: specs validate against the
 /// benchmark suite, and a run is one §III-B measurement
-/// ([`protocol::measure`]) with the spec's repeats/sampling/cap applied.
+/// ([`protocol::measure`](crate::protocol::measure)) with the spec's repeats/sampling/cap applied.
 /// The service binds the job's trace session to the runner thread, so the
 /// per-repeat spans land in that job's trace alone, and keeps the whole
 /// measurement on that thread (`pool::serial`).

@@ -1,7 +1,7 @@
 //! Variance decomposition of the system power signal.
 //!
 //! The paper motivates itself (§I) with the finding — from the companion
-//! NERSC study (its ref [14]) — that *"65 % of the variation in the system
+//! NERSC study (its ref \[14\]) — that *"65 % of the variation in the system
 //! power consumption was due to temporal variation in the power used by
 //! individual jobs"*. Given a fleet outcome, this module performs that
 //! decomposition: compare the true system power signal against a

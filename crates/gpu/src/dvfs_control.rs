@@ -2,7 +2,7 @@
 //!
 //! §V: "While the DVFS method is commonly employed for its ease of use, we
 //! chose to use power capping to control the device power, which is more
-//! efficient and accurate [31]". This module implements the alternative
+//! efficient and accurate \[31\]". This module implements the alternative
 //! (`nvidia-smi -lgc`-style fixed graphics clocks) so that claim is testable
 //! inside the model: at a pinned clock the *power* still varies with the
 //! workload (you cannot dial in a wattage), whereas a cap regulates power

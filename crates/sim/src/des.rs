@@ -22,8 +22,8 @@
 //!   a binary heap pays ~log₂(n) dependent misses sifting through 10⁶
 //!   scattered entries.
 //! * **Rungs** — when the top comes due it is scattered by day index into
-//!   a rung of [`RUNG_DAYS`] bucket arrays (a radix partition pass over a
-//!   small set of hot tails). A day holding more than [`SPAWN_THRESH`]
+//!   a rung of `RUNG_DAYS` bucket arrays (a radix partition pass over a
+//!   small set of hot tails). A day holding more than `SPAWN_THRESH`
 //!   entries is re-scattered into a deeper, finer-grained rung, so bucket
 //!   sizing adapts to clustered timestamps without any global resize or
 //!   width heuristic. Day indices are a monotone function of time (one

@@ -22,7 +22,7 @@
 //!   O(B·log k) for B total breakpoints (previously O(B·k·log s): a sorted
 //!   cut union with a per-cut, per-trace binary-search lookup).
 //!
-//! The superseded quadratic algorithms live on in [`reference`] as the
+//! The superseded quadratic algorithms live on in [`reference`](mod@reference) as the
 //! oracle for equivalence tests and the "before" side of the bench
 //! harness's before/after comparisons.
 //!

@@ -1,6 +1,6 @@
 //! Energy/performance trade-off metrics.
 //!
-//! The paper's related-work section (§VII, refs [49]–[51]) surveys metrics
+//! The paper's related-work section (§VII, refs \[49\]–\[51\]) surveys metrics
 //! for quantifying the energy/performance trade-off power management
 //! introduces: plain energy, energy-delay product (EDP), and
 //! energy-delay-squared (ED²P, Martin's ET² metric). This module implements

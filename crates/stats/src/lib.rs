@@ -14,7 +14,7 @@
 //! * [`perf`] — speedup / parallel-efficiency helpers (Fig. 4);
 //! * [`summary`] — the one-stop [`summary::PowerSummary`] the experiment
 //!   harness reports for every run;
-//! * [`trace_diff`] — flight-recorder regression triage: paired-bootstrap
+//! * [`trace_diff`](mod@trace_diff) — flight-recorder regression triage: paired-bootstrap
 //!   comparison of per-phase trace aggregates against a stored baseline.
 
 pub mod bootstrap;

@@ -293,7 +293,7 @@ impl Harness {
     /// Time a before/after pair and record the speedup.
     ///
     /// The two legs are **interleaved**: after a per-leg warmup, the
-    /// measurement budget is split into [`COMPARE_WINDOWS`] alternating
+    /// measurement budget is split into `COMPARE_WINDOWS` alternating
     /// A/B windows (A B A B …) instead of timing all of `before` and then
     /// all of `after`. A frequency ramp, thermal throttle or noisy
     /// neighbour mid-run now hits both legs roughly equally rather than

@@ -12,18 +12,19 @@
 //! * [`prop`] — a minimal property-test harness and the [`properties!`]
 //!   macro that replace proptest: deterministic per-case RNG streams,
 //!   failing-case seed reporting, `prop_assume!`-style discards.
-//! * [`bench`] — a warmup/iterations/median benchmark harness that replaces
+//! * [`bench`](mod@bench) — a warmup/iterations/median benchmark harness that replaces
 //!   criterion and emits `BENCH_results.json` so before/after numbers are
 //!   tracked in-tree.
 //! * [`json`] — the tiny JSON value model backing the bench reports.
 //! * [`rng`] — the deterministic SplitMix64 generator every stochastic
 //!   model ingredient draws from (re-exported by `vpp-sim` for its
 //!   historical `vpp_sim::Rng` path).
-//! * [`trace`] — a structured tracing + metrics substrate: a thread-safe
-//!   bounded recorder (bound to the calling thread per [`trace::session`],
-//!   and inherited by [`par_map`] workers) collecting typed spans
-//!   ([`span!`]), marks, counters and gauges, with a near-zero-cost no-op
-//!   path when no session is bound.
+//! * [`trace`] — a structured tracing + metrics substrate: a bounded
+//!   recorder per session, all of its state behind one lock (bound to the
+//!   calling thread per [`trace::session`], and inherited by [`par_map`]
+//!   workers), collecting typed spans ([`span!`]), marks, counters, gauges
+//!   and histograms, with a near-zero-cost no-op path when no session is
+//!   bound.
 //! * [`serve`] — a std-only HTTP/1.1 observability server exposing the
 //!   session it was started under over `GET /metrics` (Prometheus text),
 //!   `/healthz` and `/trace?format=json|jsonl|csv`, with a leak-free

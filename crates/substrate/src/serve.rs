@@ -34,7 +34,7 @@
 //! The service manages its own resource lifetimes:
 //!
 //! * **Keep-alive** — connections are persistent per RFC 9112 (the
-//!   HTTP/1.1 default): one socket serves up to [`MAX_CONN_REQUESTS`]
+//!   HTTP/1.1 default): one socket serves up to `MAX_CONN_REQUESTS`
 //!   requests, bytes read past one body carry over as the next request's
 //!   prefix (pipelining works), and the server closes when the client
 //!   sends `Connection: close`, after a protocol error (`431`/`413`/
@@ -76,7 +76,8 @@
 //!   (`/jobs/<id>/trace`, not each id) so cardinality stays fixed.
 //! * `GET /logs?after=SEQ&limit=N&level=warn` — cursor-streamed jsonl
 //!   over the process-wide structured [`trace` journal](trace::logs_after)
-//!   (same exactly-once admission-ticket scheme as `/jobs/<id>/trace`);
+//!   (same exactly-once scheme as `/jobs/<id>/trace`: seqs are dense
+//!   because they are assigned under the lock that admits the record);
 //!   the service emits warn/error records at its decision points (`429`
 //!   backpressure, TTL eviction, `408` stalls, job failure/cancel,
 //!   federation peer-down).
@@ -119,10 +120,11 @@ const MAX_BODY: usize = 256 * 1024;
 const MAX_PEER_RESPONSE: u64 = 4 << 20;
 /// Event budget for each job's private trace session.
 const JOB_TRACE_CAPACITY: usize = 1 << 20;
-/// `/jobs/<id>/trace` chunk size when the query does not pick one.
-const TRACE_CHUNK_DEFAULT: usize = 512;
+/// Cursor chunk size (`/jobs/<id>/trace`, `/logs`) when the query does
+/// not pick one.
+const CHUNK_DEFAULT: usize = 512;
 /// Hard ceiling on a requested chunk size.
-const TRACE_CHUNK_MAX: usize = 4096;
+const CHUNK_MAX: usize = 4096;
 /// Concurrent job sessions unless [`ServeConfig::max_sessions`] says
 /// otherwise.
 const DEFAULT_MAX_SESSIONS: usize = 2;
@@ -137,8 +139,6 @@ const DEFAULT_JOB_TTL: Duration = Duration::from_secs(15 * 60);
 const DEFAULT_MAX_QUEUE: usize = 32;
 /// Minimum spacing between TTL eviction sweeps.
 const SWEEP_INTERVAL_MS: u64 = 200;
-/// `/logs` chunk size when the query does not pick one.
-const LOGS_CHUNK_DEFAULT: usize = 512;
 
 /// Where the instrumented run currently is, for `/healthz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,6 +272,25 @@ struct Registry {
     running: usize,
     runners: Vec<JoinHandle<()>>,
     evicted: BTreeSet<u64>,
+}
+
+impl Registry {
+    /// Job `id`'s entry, or the answer for a missing one: `410 Gone` if
+    /// the TTL sweep evicted it, `404` if it never existed.
+    fn job(&mut self, id: u64) -> Result<&mut JobEntry, Response> {
+        let evicted = self.evicted.contains(&id);
+        self.jobs.get_mut(&id).ok_or_else(|| {
+            if evicted {
+                Response::error(
+                    410,
+                    "Gone",
+                    format!("job {id} was evicted after its TTL; its results are no longer held\n"),
+                )
+            } else {
+                Response::error(404, "Not Found", format!("no such job: {id}\n"))
+            }
+        })
+    }
 }
 
 /// Server configuration for [`serve_with`].
@@ -1099,12 +1118,9 @@ fn post_job(body: &[u8], shared: &Arc<Shared>) -> Response {
 /// terminal job is a `409`, an evicted one `410`.
 fn cancel_job(id: u64, shared: &Arc<Shared>) -> Response {
     let mut reg = lock(&shared.jobs);
-    let Some(entry) = reg.jobs.get_mut(&id) else {
-        return if reg.evicted.contains(&id) {
-            gone(id)
-        } else {
-            Response::error(404, "Not Found", format!("no such job: {id}\n"))
-        };
+    let entry = match reg.job(id) {
+        Ok(entry) => entry,
+        Err(missing) => return missing,
     };
     match entry.state {
         JobState::Queued => {
@@ -1128,15 +1144,6 @@ fn cancel_job(id: u64, shared: &Arc<Shared>) -> Response {
             format!("job {id} is already terminal ({})\n", terminal.as_str()),
         ),
     }
-}
-
-/// `410 Gone` for a job id the TTL sweep removed.
-fn gone(id: u64) -> Response {
-    Response::error(
-        410,
-        "Gone",
-        format!("job {id} was evicted after its TTL; its results are no longer held\n"),
-    )
 }
 
 /// Evict terminal jobs older than the TTL, freeing their trace sessions.
@@ -1383,11 +1390,9 @@ fn jobs_list(shared: &Arc<Shared>) -> Response {
 }
 
 fn job_status(id: u64, shared: &Arc<Shared>) -> Response {
-    let reg = lock(&shared.jobs);
-    match reg.jobs.get(&id) {
-        Some(entry) => Response::json(200, "OK", &job_status_value(id, entry)),
-        None if reg.evicted.contains(&id) => gone(id),
-        None => Response::error(404, "Not Found", format!("no such job: {id}\n")),
+    match lock(&shared.jobs).job(id) {
+        Ok(entry) => Response::json(200, "OK", &job_status_value(id, entry)),
+        Err(missing) => missing,
     }
 }
 
@@ -1396,55 +1401,20 @@ fn job_status(id: u64, shared: &Arc<Shared>) -> Response {
 /// chunk. The next cursor and whether more events were already visible
 /// travel as headers so the body stays pure jsonl.
 fn job_trace(id: u64, query: &str, shared: &Arc<Shared>) -> Response {
-    let params = match parse_query(query, &["after", "limit", "format"]) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, "Bad Request", format!("{e}\n")),
+    let cursor = cursor_query(query, "format", |value| {
+        if value == "jsonl" {
+            Ok(())
+        } else {
+            Err(format!("job traces stream as jsonl only, got '{value}'"))
+        }
+    });
+    let (after, limit) = match cursor {
+        Ok(c) => c,
+        Err(bad) => return bad,
     };
-    let mut after = 0u64;
-    let mut limit = TRACE_CHUNK_DEFAULT;
-    for (key, value) in &params {
-        // Form decoding turns `+` into a space (`?after=+5` arrives as
-        // " 5"), so integer params trim before parsing.
-        match key.as_str() {
-            "after" => match value.trim().parse() {
-                Ok(v) => after = v,
-                Err(_) => {
-                    return Response::error(
-                        400,
-                        "Bad Request",
-                        format!("'after' must be a cursor integer, got '{value}'\n"),
-                    )
-                }
-            },
-            "limit" => match value.trim().parse::<usize>() {
-                Ok(v) if v >= 1 => limit = v.min(TRACE_CHUNK_MAX),
-                _ => {
-                    return Response::error(
-                        400,
-                        "Bad Request",
-                        format!("'limit' must be a positive integer, got '{value}'\n"),
-                    )
-                }
-            },
-            "format" => {
-                if value != "jsonl" {
-                    return Response::error(
-                        400,
-                        "Bad Request",
-                        format!("job traces stream as jsonl only, got '{value}'\n"),
-                    );
-                }
-            }
-            _ => unreachable!("parse_query rejects unknown keys"),
-        }
-    }
-    let (session, state) = {
-        let reg = lock(&shared.jobs);
-        match reg.jobs.get(&id) {
-            Some(entry) => (entry.session.clone(), entry.state),
-            None if reg.evicted.contains(&id) => return gone(id),
-            None => return Response::error(404, "Not Found", format!("no such job: {id}\n")),
-        }
+    let (session, state) = match lock(&shared.jobs).job(id) {
+        Ok(entry) => (entry.session.clone(), entry.state),
+        Err(missing) => return missing,
     };
     let chunk = session.events_after(after, limit);
     let mut body = String::new();
@@ -1462,15 +1432,11 @@ fn job_trace(id: u64, query: &str, shared: &Arc<Shared>) -> Response {
 }
 
 fn job_metrics(id: u64, shared: &Arc<Shared>) -> Response {
-    let (session, state) = {
-        let reg = lock(&shared.jobs);
-        match reg.jobs.get(&id) {
-            Some(entry) => (entry.session.clone(), entry.state),
-            None if reg.evicted.contains(&id) => return gone(id),
-            None => return Response::error(404, "Not Found", format!("no such job: {id}\n")),
-        }
+    let (session, state) = match lock(&shared.jobs).job(id) {
+        Ok(entry) => (entry.session.clone(), entry.state),
+        Err(missing) => return missing,
     };
-    let mut body = session.metrics_snapshot().to_prom();
+    let mut body = session.snapshot().to_prom();
     body.push_str(&format!(
         "# TYPE vpp_job_trace_events_admitted counter\nvpp_job_trace_events_admitted {}\n\
          # TYPE vpp_job_trace_events_dropped counter\nvpp_job_trace_events_dropped {}\n\
@@ -1544,6 +1510,43 @@ fn form_decode(s: &str) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| format!("'{s}' does not decode to UTF-8"))
 }
 
+/// Parse the query of a cursor endpoint: `after` (default 0) and `limit`
+/// (default [`CHUNK_DEFAULT`], capped at [`CHUNK_MAX`]), plus the
+/// endpoint's own `extra` key, whose values go to `on_extra` in query
+/// order. Any malformed key or value is a `400`.
+fn cursor_query(
+    query: &str,
+    extra: &str,
+    mut on_extra: impl FnMut(&str) -> Result<(), String>,
+) -> Result<(u64, usize), Response> {
+    let bad = |detail: String| Response::error(400, "Bad Request", detail);
+    let params = parse_query(query, &["after", "limit", extra]).map_err(bad)?;
+    let mut after = 0u64;
+    let mut limit = CHUNK_DEFAULT;
+    for (key, value) in &params {
+        // Form decoding turns `+` into a space (`?after=+5` arrives as
+        // " 5"), so integer params trim before parsing.
+        match key.as_str() {
+            "after" => {
+                after = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| bad(format!("'after' must be a cursor integer, got '{value}'")))?;
+            }
+            "limit" => match value.trim().parse::<usize>() {
+                Ok(v) if v >= 1 => limit = v.min(CHUNK_MAX),
+                _ => {
+                    return Err(bad(format!(
+                        "'limit' must be a positive integer, got '{value}'"
+                    )))
+                }
+            },
+            _ => on_extra(value).map_err(bad)?,
+        }
+    }
+    Ok((after, limit))
+}
+
 // ---------------------------------------------------------------------------
 // Observability endpoints
 // ---------------------------------------------------------------------------
@@ -1556,7 +1559,7 @@ fn metrics_body(shared: &Arc<Shared>) -> String {
     let mut out = shared
         .session
         .as_ref()
-        .map(|s| s.metrics_snapshot().to_prom())
+        .map(|s| s.snapshot().to_prom())
         .unwrap_or_default();
     let uptime = shared.uptime_s();
     out.push_str("# TYPE vpp_up gauge\nvpp_up 1\n");
@@ -1861,42 +1864,15 @@ fn trace_response(query: &str, shared: &Arc<Shared>) -> Response {
 /// every record at or above the requested level is delivered exactly once
 /// across chunks.
 fn logs_response(query: &str) -> Response {
-    let params = match parse_query(query, &["after", "limit", "level"]) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, "Bad Request", format!("{e}\n")),
-    };
-    let mut after = 0u64;
-    let mut limit = LOGS_CHUNK_DEFAULT;
     let mut min_level = trace::LogLevel::Debug;
-    for (key, value) in &params {
-        match key.as_str() {
-            "after" => match value.trim().parse() {
-                Ok(v) => after = v,
-                Err(_) => {
-                    return Response::error(
-                        400,
-                        "Bad Request",
-                        format!("'after' must be a cursor integer, got '{value}'\n"),
-                    )
-                }
-            },
-            "limit" => match value.trim().parse::<usize>() {
-                Ok(v) if v >= 1 => limit = v.min(TRACE_CHUNK_MAX),
-                _ => {
-                    return Response::error(
-                        400,
-                        "Bad Request",
-                        format!("'limit' must be a positive integer, got '{value}'\n"),
-                    )
-                }
-            },
-            "level" => match value.parse() {
-                Ok(l) => min_level = l,
-                Err(e) => return Response::error(400, "Bad Request", format!("{e}\n")),
-            },
-            _ => unreachable!("parse_query rejects unknown keys"),
-        }
-    }
+    let cursor = cursor_query(query, "level", |value| {
+        min_level = value.parse()?;
+        Ok(())
+    });
+    let (after, limit) = match cursor {
+        Ok(c) => c,
+        Err(bad) => return bad,
+    };
     let chunk = trace::logs_after(after, limit, min_level);
     let mut body = String::new();
     for rec in &chunk.records {

@@ -19,9 +19,9 @@
 //!   ring-buffer capacity.
 //! * A **histogram** is a fixed-bucket distribution ([`histogram`] /
 //!   the [`histogram!`](crate::histogram) macro): per-metric static
-//!   bucket bounds, lock-free per-thread shards folded at snapshot time,
-//!   rendered as cumulative `_bucket`/`_sum`/`_count` Prometheus series.
-//!   Like counters, histograms never consume ring-buffer capacity.
+//!   bucket bounds, rendered as cumulative `_bucket`/`_sum`/`_count`
+//!   Prometheus series. Like counters, histograms never consume
+//!   ring-buffer capacity.
 //!
 //! Alongside the per-session recorder there is one process-wide,
 //! budget-bounded **log journal** ([`log_event!`](crate::log_event)):
@@ -37,11 +37,11 @@
 //! behalf inherit the binding — [`par_map`](crate::pool::par_map) workers,
 //! and the `serve` module's views — and no other thread sees it, so
 //! concurrent sessions (parallel tests, service jobs) never mix.
-//! Events are staged in **thread-local buffers** and flushed in bulk —
-//! when a buffer fills, when a thread's outermost span for the session
-//! closes, and when a binding ends — so the enabled path costs one
-//! uncontended lock per event instead of serialising every instrumented
-//! thread on a shared ring mutex.
+//! Each session keeps all of its state — the event log, counters, gauges
+//! and histograms — behind **one lock**. An event gets its `seq` and
+//! `t_ns` under that lock as it is appended, so the log is always dense
+//! and ordered by both, and reads ([`LocalSession::snapshot`],
+//! [`LocalSession::events_after`], [`LocalSession::finish`]) never sort.
 //!
 //! # Flight-recorder surface
 //!
@@ -50,8 +50,7 @@
 //! (per-phase wall/sim/energy roll-ups used as bench baselines and by the
 //! `vpp trace diff` regression triage), [`TraceReport::to_jsonl`] (one
 //! event per line, re-parseable by [`crate::json::parse`]) and
-//! [`TraceReport::metrics_snapshot`] → [`MetricsSnapshot::to_prom`]
-//! (Prometheus text exposition for scrapers).
+//! [`TraceReport::to_prom`] (Prometheus text exposition for scrapers).
 //!
 //! ```
 //! use vpp_substrate::{span, trace};
@@ -213,13 +212,14 @@ pub enum EventKind {
 pub struct Event {
     /// Static event name (dot-separated vocabulary, e.g. `"scf.iter"`).
     pub name: &'static str,
-    /// Per-session admission sequence number (0-based, assigned from the
-    /// recorder's admission ticket at [`Recorder::push`] time). Within a
-    /// session, `seq` is unique and — below the event budget — dense, so a
-    /// cursor (`/jobs/<id>/trace?after=SEQ`) can resume a stream exactly
-    /// where the previous chunk stopped.
+    /// Per-session admission sequence number (0-based, assigned under the
+    /// session's lock as the event is appended). Within a session, `seq`
+    /// is unique and — below the event budget — dense, so a cursor
+    /// (`/jobs/<id>/trace?after=SEQ`) can resume a stream exactly where
+    /// the previous chunk stopped.
     pub seq: u64,
-    /// Nanoseconds since the session started.
+    /// Nanoseconds since the session started, stamped under the same lock
+    /// as `seq`, so the two orders agree.
     pub t_ns: u64,
     /// Small per-session thread ordinal (0 = first thread seen).
     pub thread: u32,
@@ -273,202 +273,77 @@ impl Event {
     }
 }
 
-/// Events a thread stages before a bulk flush to the central log.
-const FLUSH_BATCH: usize = 256;
-
-type EventBuffer = Arc<Mutex<Vec<Event>>>;
-
 /// The recorder behind one [`LocalSession`] and its clones.
 struct Recorder {
     id: u64,
     start: Instant,
-    /// Maximum events the session will admit.
+    /// Maximum events the session will admit over its life.
     cap: usize,
-    /// Events admitted so far (ticket counter; tickets ≥ `cap` drop).
-    admitted: AtomicU64,
-    dropped: AtomicU64,
-    /// Flushed event batches (per-thread subsequences stay ordered).
-    central: Mutex<Vec<Event>>,
-    /// Every thread-local staging buffer opened for this session, so
-    /// `finish` can drain stragglers without thread cooperation.
-    buffers: Mutex<Vec<EventBuffer>>,
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    /// Every per-thread histogram shard opened for this session, so a
-    /// snapshot can fold them without thread cooperation.
-    hist_shards: Mutex<Vec<Arc<HistogramShard>>>,
-    threads: Mutex<Vec<std::thread::ThreadId>>,
+    /// Everything recorded, behind the session's one lock.
+    log: Mutex<Log>,
+}
+
+/// A session's recorded state.
+struct Log {
+    /// What a snapshot copies and `finish` drains: the events in `seq`
+    /// order (and so in `t_ns` order), counters, gauges, histograms, and
+    /// the dropped count, which a drain keeps.
+    report: TraceReport,
+    /// The `seq` the next admitted event gets: every event admitted so
+    /// far, drained ones included, so never more than the cap.
+    next_seq: u64,
+    /// Threads that have recorded, indexed by their ordinal.
+    threads: Vec<std::thread::ThreadId>,
 }
 
 impl Recorder {
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Stage an event in this thread's buffer, flushing opportunistically.
-    /// Single TL access, no per-event `Arc` traffic, and the staging `Vec`
-    /// keeps its capacity across flushes — the steady-state cost is one
-    /// uncontended lock and a `Vec` push.
-    ///
-    /// The admission ticket doubles as the event's sequence number: every
-    /// admitted event gets a unique `seq` strictly below `cap`, so a seq
-    /// missing from a snapshot below the cap can only be an in-flight
-    /// event (ticket taken, not yet staged) — the invariant the cursor
-    /// reader ([`Recorder::events_after`]) relies on to never skip one.
-    fn push(&self, mut ev: Event) {
-        let ticket = self.admitted.fetch_add(1, Ordering::Relaxed);
-        if ticket >= self.cap as u64 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Append an event, or count it dropped once the budget is spent.
+    /// `seq` and `t_ns` are taken under the lock, so every admitted event
+    /// gets a unique `seq` below `cap`, the log stays dense and in `seq`
+    /// order, and timestamps never run backwards along it.
+    fn push(&self, name: &'static str, kind: EventKind, fields: Vec<Field>) {
+        let mut log = lock(&self.log);
+        if log.next_seq >= self.cap as u64 {
+            log.report.dropped += 1;
             return;
         }
-        ev.seq = ticket;
-        TL_BUFFER.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if !matches!(slot.as_ref(), Some((sid, _)) if *sid == self.id) {
-                let buf: EventBuffer = Arc::new(Mutex::new(Vec::with_capacity(FLUSH_BATCH)));
-                lock(&self.buffers).push(Arc::clone(&buf));
-                *slot = Some((self.id, buf));
-            }
-            let (_, buf) = slot.as_ref().expect("installed above");
-            let mut staged = lock(buf);
-            staged.push(ev);
-            if staged.len() >= FLUSH_BATCH {
-                // Drain (not take): the staging allocation survives the
-                // flush, so steady state never touches the allocator.
-                lock(&self.central).extend(staged.drain(..));
-            }
+        let thread = log.thread_ordinal(self.id);
+        let t_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let seq = log.next_seq;
+        log.report.events.push(Event {
+            name,
+            seq,
+            t_ns,
+            thread,
+            kind,
+            fields,
         });
+        log.next_seq += 1;
     }
+}
 
-    /// Move this thread's staged events into the central log.
-    fn flush_current_thread(&self) {
-        TL_BUFFER.with(|slot| {
-            if let Some((sid, buf)) = slot.borrow().as_ref() {
-                if *sid == self.id {
-                    let mut staged = lock(buf);
-                    if !staged.is_empty() {
-                        lock(&self.central).extend(staged.drain(..));
-                    }
+impl Log {
+    /// The calling thread's ordinal in this session (0 = first thread
+    /// seen), cached in `THREAD_ORD` so the registry is searched once.
+    fn thread_ordinal(&mut self, session: u64) -> u32 {
+        THREAD_ORD.with(|c| {
+            if let Some((sid, ord)) = c.get() {
+                if sid == session {
+                    return ord;
                 }
             }
-        });
-    }
-
-    /// Record `n` observations of `value` into the named histogram.
-    ///
-    /// Steady state is lock-free: each thread owns one shard per metric
-    /// per session (cached in `TL_HIST`), and recording is a handful of
-    /// relaxed atomic bumps on that shard. The recorder's shard registry
-    /// is only locked the first time a thread touches a metric.
-    fn observe_histogram(&self, name: &'static str, value: f64, n: u64, bounds: &'static [f64]) {
-        TL_HIST.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let (sid, shards) = slot.get_or_insert_with(|| (self.id, Vec::new()));
-            if *sid != self.id {
-                // The thread moved to a different session: the old cache
-                // entries belong to a recorder we no longer write to.
-                *sid = self.id;
-                shards.clear();
-            }
-            if let Some(sh) = shards.iter().find(|s| s.name == name) {
-                sh.observe_n(value, n);
-                return;
-            }
-            let sh = Arc::new(HistogramShard::new(name, bounds));
-            lock(&self.hist_shards).push(Arc::clone(&sh));
-            sh.observe_n(value, n);
-            shards.push(sh);
-        });
-    }
-
-    /// Fold every thread's shards into one [`Histogram`] per metric name.
-    /// Non-draining: shards keep accumulating, and the relaxed reads give
-    /// a live (per-shard consistent) view.
-    fn fold_histograms(&self) -> BTreeMap<&'static str, Histogram> {
-        let shards: Vec<Arc<HistogramShard>> = lock(&self.hist_shards).clone();
-        let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-        for sh in shards {
-            let h = out
-                .entry(sh.name)
-                .or_insert_with(|| Histogram::new(sh.bounds));
-            sh.fold_into(h);
-        }
-        out
-    }
-
-    /// Fold and zero every shard — the draining counterpart of
-    /// [`Recorder::fold_histograms`] used by `finish`. The shard registry
-    /// stays intact so surviving thread-local caches remain valid; later
-    /// observations accumulate from zero and show up in later snapshots.
-    fn drain_histograms(&self) -> BTreeMap<&'static str, Histogram> {
-        let folded = self.fold_histograms();
-        for sh in lock(&self.hist_shards).iter() {
-            sh.reset();
-        }
-        folded
-    }
-
-    /// Non-draining copy of everything recorded so far. Lock discipline
-    /// matters: [`Recorder::push`] holds a thread's staging-buffer lock
-    /// *while* taking the central lock on a batch flush, so this snapshot
-    /// must never hold the central lock while touching a staging buffer —
-    /// it clones the central log first, releases it, then visits each
-    /// buffer one at a time. Spans still open at snapshot time appear
-    /// with their Enter event only (`t_exit_ns == None` after matching).
-    fn snapshot(&self) -> TraceReport {
-        let mut events = lock(&self.central).clone();
-        let buffers: Vec<EventBuffer> = lock(&self.buffers).clone();
-        for buf in &buffers {
-            events.extend(lock(buf).iter().cloned());
-        }
-        events.sort_by_key(|e| e.t_ns);
-        TraceReport {
-            events,
-            counters: lock(&self.counters).clone(),
-            gauges: lock(&self.gauges).clone(),
-            histograms: self.fold_histograms(),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Chunked cursor read over the live event log: up to `limit` events
-    /// with `seq >= start`, in sequence order, never skipping one.
-    ///
-    /// Exactly-once across chunks rests on the admission invariant: every
-    /// event that exists has `seq < cap`, and a seq below the admission
-    /// ticket count that is *not* visible yet can only be in flight
-    /// (ticket taken, event not yet staged). The walk therefore stops at
-    /// the first non-contiguous seq instead of serving past it — the next
-    /// poll picks the stream up at the gap once the writer lands.
-    fn events_after(&self, start: u64, limit: usize) -> CursorChunk {
-        let mut events: Vec<Event> = lock(&self.central)
-            .iter()
-            .filter(|e| e.seq >= start)
-            .cloned()
-            .collect();
-        let buffers: Vec<EventBuffer> = lock(&self.buffers).clone();
-        for buf in &buffers {
-            events.extend(lock(buf).iter().filter(|e| e.seq >= start).cloned());
-        }
-        events.sort_by_key(|e| e.seq);
-        let mut out = Vec::new();
-        let mut expect = start;
-        let mut more = false;
-        for ev in events {
-            if ev.seq != expect || out.len() >= limit {
-                // Chunk budget reached, or an in-flight writer owns the
-                // next seq; either way later events stay for the next poll.
-                more = true;
-                break;
-            }
-            expect += 1;
-            out.push(ev);
-        }
-        CursorChunk {
-            events: out,
-            next: expect,
-            more,
-        }
+            let tid = std::thread::current().id();
+            let ord = self
+                .threads
+                .iter()
+                .position(|t| *t == tid)
+                .unwrap_or_else(|| {
+                    self.threads.push(tid);
+                    self.threads.len() - 1
+                }) as u32;
+            c.set(Some((session, ord)));
+            ord
+        })
     }
 }
 
@@ -496,12 +371,6 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// Cached `(session_id, ordinal)` so the thread registry is hit once.
     static THREAD_ORD: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
-    /// This thread's staging buffer for the current session.
-    static TL_BUFFER: RefCell<Option<(u64, EventBuffer)>> = const { RefCell::new(None) };
-    /// This thread's histogram shards for the current session, keyed by
-    /// session id (a linear scan by metric name — sessions record a
-    /// handful of distinct histograms).
-    static TL_HIST: RefCell<Option<(u64, Vec<Arc<HistogramShard>>)>> = const { RefCell::new(None) };
     /// Recorder bound to this thread by a [`LocalBinding`], if any.
     static LOCAL_REC: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
     /// Cheap mirror of `LOCAL_REC.is_some()` for the [`enabled`] fast path.
@@ -530,29 +399,11 @@ pub(crate) fn current_session() -> Option<LocalSession> {
     current().map(|rec| LocalSession { rec })
 }
 
-fn thread_ordinal(rec: &Recorder) -> u32 {
-    THREAD_ORD.with(|c| {
-        if let Some((sid, ord)) = c.get() {
-            if sid == rec.id {
-                return ord;
-            }
-        }
-        let tid = std::thread::current().id();
-        let mut ts = lock(&rec.threads);
-        let ord = ts.iter().position(|t| *t == tid).unwrap_or_else(|| {
-            ts.push(tid);
-            ts.len() - 1
-        }) as u32;
-        c.set(Some((rec.id, ord)));
-        ord
-    })
-}
-
 /// A trace session bound to the thread that opened it. Created by
 /// [`session`]; instrumentation on that thread — and on the pool workers
 /// and servers it starts — records into it until [`Session::finish`] (or
 /// drop) unbinds it. Dereferences to its [`LocalSession`] for live reads
-/// ([`LocalSession::snapshot`], [`LocalSession::metrics_snapshot`]) and for
+/// ([`LocalSession::snapshot`], [`LocalSession::events_after`]) and for
 /// binding further threads.
 pub struct Session {
     local: LocalSession,
@@ -611,14 +462,11 @@ pub fn local_session(capacity: usize) -> LocalSession {
             id: NEXT_SESSION_ID.fetch_add(1, Ordering::SeqCst),
             start: Instant::now(),
             cap: capacity,
-            admitted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            central: Mutex::new(Vec::new()),
-            buffers: Mutex::new(Vec::new()),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            hist_shards: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
+            log: Mutex::new(Log {
+                report: TraceReport::empty(0),
+                next_seq: 0,
+                threads: Vec::new(),
+            }),
         }),
     }
 }
@@ -633,116 +481,77 @@ impl LocalSession {
         let prev = LOCAL_REC.with(|l| l.borrow_mut().replace(Arc::clone(&self.rec)));
         LOCAL_ACTIVE.with(|c| c.set(true));
         LocalBinding {
-            rec: Arc::clone(&self.rec),
             prev,
             _not_send: PhantomData,
         }
     }
 
     /// Live, non-draining copy of everything captured so far — events
-    /// staged so far (open spans included, their exits still pending),
-    /// counters, gauges, histograms and the dropped count. The session
-    /// keeps recording, so a scraper (the `serve` module's `/trace`
-    /// endpoint) can read an in-flight run from another thread.
+    /// (open spans included, their exits still pending), counters, gauges,
+    /// histograms and the dropped count. The session keeps recording, so a
+    /// scraper (the `serve` module's `/trace` and `/metrics` endpoints)
+    /// can read an in-flight run from another thread.
     #[must_use]
     pub fn snapshot(&self) -> TraceReport {
-        self.rec.snapshot()
-    }
-
-    /// Live [`MetricsSnapshot`] over the events captured so far (open
-    /// spans count with zero duration until they close; counters are
-    /// monotone across calls, keeping the exposition scrape-safe).
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.rec.snapshot().metrics_snapshot()
+        lock(&self.rec.log).report.clone()
     }
 
     /// Bounded cursor read: up to `limit` events with `seq >= start`, in
     /// admission order, each event delivered exactly once across chunks.
-    /// See [`CursorChunk`] for resumption semantics.
+    /// The log is dense and in `seq` order, so this is a binary search and
+    /// a clone of at most `limit` events; seqs a [`LocalSession::finish`]
+    /// drained are skipped, not waited for. See [`CursorChunk`] for
+    /// resumption semantics.
     #[must_use]
     pub fn events_after(&self, start: u64, limit: usize) -> CursorChunk {
-        self.rec.events_after(start, limit)
+        let log = lock(&self.rec.log);
+        let events = &log.report.events;
+        let from = events.partition_point(|e| e.seq < start);
+        let to = from.saturating_add(limit).min(events.len());
+        let chunk = events[from..to].to_vec();
+        CursorChunk {
+            next: chunk.last().map_or(start, |e| e.seq + 1),
+            more: to < events.len(),
+            events: chunk,
+        }
     }
 
-    /// Events actually admitted to the log so far (the admission-ticket
-    /// count, clamped to the event budget).
+    /// Events admitted to the log over the session's life, drained ones
+    /// included; never more than the event budget.
     #[must_use]
     pub fn admitted(&self) -> u64 {
-        let cap = self.rec.cap as u64;
-        self.rec.admitted.load(Ordering::Relaxed).min(cap)
+        lock(&self.rec.log).next_seq
     }
 
     /// Events refused because the budget was exhausted.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.rec.dropped.load(Ordering::Relaxed)
+        lock(&self.rec.log).report.dropped
     }
 
     /// Drain everything captured and return the final report. Call after
     /// every bound thread has finished; later snapshots of surviving
-    /// clones only see events recorded after the drain.
+    /// clones only see what was recorded after the drain (the dropped
+    /// count and the `seq` numbering carry on).
     #[must_use]
     pub fn finish(self) -> TraceReport {
-        let rec = self.rec;
-        let dropped = rec.dropped.load(Ordering::SeqCst);
-        // Central batches first, then per-thread stragglers: a thread's
-        // staged events are strictly later than its flushed ones, so every
-        // per-thread subsequence stays ordered; the stable sort by
-        // timestamp then rebuilds a coherent global order without ever
-        // reordering a thread against itself.
-        let mut events = std::mem::take(&mut *lock(&rec.central));
-        for buf in lock(&rec.buffers).iter() {
-            events.append(&mut *lock(buf));
-        }
-        events.sort_by_key(|e| e.t_ns);
-        let counters = std::mem::take(&mut *lock(&rec.counters));
-        let gauges = std::mem::take(&mut *lock(&rec.gauges));
-        let histograms = rec.drain_histograms();
-        TraceReport {
-            events,
-            counters,
-            gauges,
-            histograms,
-            dropped,
-        }
+        let mut log = lock(&self.rec.log);
+        let dropped = log.report.dropped;
+        std::mem::replace(&mut log.report, TraceReport::empty(dropped))
     }
 }
 
-/// Scoped thread binding for a [`LocalSession`]. On drop, flushes this
-/// thread's staged events to the session's central log, releases the
-/// thread's staging buffer for the session, and restores the thread's
-/// previous binding. Deliberately `!Send`: the binding is a property of
-/// the thread that created it.
+/// Scoped thread binding for a [`LocalSession`]. On drop, restores the
+/// thread's previous binding, so a long-lived thread keeps no reference
+/// to a session it no longer records into. Deliberately `!Send`: the
+/// binding is a property of the thread that created it.
 pub struct LocalBinding {
-    rec: Arc<Recorder>,
     prev: Option<Arc<Recorder>>,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for LocalBinding {
     fn drop(&mut self) {
-        self.rec.flush_current_thread();
-        // Release this thread's staging buffer: a long-lived thread (a
-        // service worker, a test harness) must not pin a finished
-        // session's allocation in its thread-local slot — otherwise
-        // evicting the session from a registry frees the ring buffer in
-        // name only. The recorder's own `buffers` list still holds the
-        // (now drained) Vec until the recorder itself drops.
-        TL_BUFFER.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if matches!(slot.as_ref(), Some((sid, _)) if *sid == self.rec.id) {
-                *slot = None;
-            }
-        });
-        // Same for the histogram-shard cache: the recorder's own registry
-        // keeps the shards alive for folding; the thread must not pin them.
-        TL_HIST.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if matches!(slot.as_ref(), Some((sid, _)) if *sid == self.rec.id) {
-                *slot = None;
-            }
-        });
         LOCAL_REC.with(|l| {
             let mut l = l.borrow_mut();
             *l = self.prev.take();
@@ -780,7 +589,6 @@ impl SpanGuard {
             };
         };
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let thread = thread_ordinal(&rec);
         let parent = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             let parent = s
@@ -791,14 +599,7 @@ impl SpanGuard {
             s.push((rec.id, id));
             parent
         });
-        rec.push(Event {
-            name,
-            seq: 0, // assigned at admission
-            t_ns: rec.now_ns(),
-            thread,
-            kind: EventKind::Enter { span: id, parent },
-            fields: fields(),
-        });
+        rec.push(name, EventKind::Enter { span: id, parent }, fields());
         SpanGuard {
             active: Some(ActiveSpan {
                 rec,
@@ -831,7 +632,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(a) = self.active.take() else { return };
-        let root_closed = SPAN_STACK.with(|s| {
+        SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             if let Some(pos) = s
                 .iter()
@@ -839,29 +640,16 @@ impl Drop for SpanGuard {
             {
                 s.remove(pos);
             }
-            !s.iter().any(|(sid, _)| *sid == a.rec.id)
         });
-        let thread = thread_ordinal(&a.rec);
-        a.rec.push(Event {
-            name: a.name,
-            seq: 0, // assigned at admission
-            t_ns: a.rec.now_ns(),
-            thread,
-            kind: EventKind::Exit { span: a.id },
-            fields: a.exit_fields,
-        });
-        if root_closed {
-            // The thread's outermost span for this session just closed —
-            // a natural quiescent point to publish the staged batch.
-            a.rec.flush_current_thread();
-        }
+        a.rec
+            .push(a.name, EventKind::Exit { span: a.id }, a.exit_fields);
     }
 }
 
 /// Open a span: `span!("name")` or `span!("name", key = value, ...)`.
 /// Field values must convert [`Into`] a
-/// [`FieldValue`](trace::FieldValue). Returns a
-/// [`SpanGuard`](trace::SpanGuard); the span closes when it drops.
+/// [`FieldValue`](crate::trace::FieldValue). Returns a
+/// [`SpanGuard`](crate::trace::SpanGuard); the span closes when it drops.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -878,14 +666,14 @@ macro_rules! span {
 /// consume ring capacity.
 pub fn counter(name: &'static str, delta: u64) {
     if let Some(rec) = current() {
-        *lock(&rec.counters).entry(name).or_insert(0) += delta;
+        *lock(&rec.log).report.counters.entry(name).or_insert(0) += delta;
     }
 }
 
 /// Set the named gauge to `value` (last value wins).
 pub fn gauge(name: &'static str, value: f64) {
     if let Some(rec) = current() {
-        lock(&rec.gauges).insert(name, value);
+        lock(&rec.log).report.gauges.insert(name, value);
     }
 }
 
@@ -897,15 +685,7 @@ pub fn mark(name: &'static str) {
 /// Emit a point event; `fields` is only invoked when tracing is enabled.
 pub fn mark_with<F: FnOnce() -> Vec<Field>>(name: &'static str, fields: F) {
     if let Some(rec) = current() {
-        let thread = thread_ordinal(&rec);
-        rec.push(Event {
-            name,
-            seq: 0, // assigned at admission
-            t_ns: rec.now_ns(),
-            thread,
-            kind: EventKind::Mark,
-            fields: fields(),
-        });
+        rec.push(name, EventKind::Mark, fields());
     }
 }
 
@@ -1131,87 +911,44 @@ impl Histogram {
     }
 }
 
-/// One thread's lock-free accumulation state for one histogram metric.
-/// Only the owning thread writes; `sum_bits` therefore needs no CAS loop
-/// — a plain load/store pair is race-free, and folding readers see some
-/// recent consistent value.
-struct HistogramShard {
-    name: &'static str,
-    bounds: &'static [f64],
-    /// Per-bucket counts plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    /// `f64::to_bits` of the running (weighted) sum.
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-impl HistogramShard {
-    fn new(name: &'static str, bounds: &'static [f64]) -> Self {
-        // Validate through the value type so shard and fold agree.
-        let _ = Histogram::new(bounds);
-        Self {
-            name,
-            bounds,
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn observe_n(&self, value: f64, n: u64) {
-        self.counts[bucket_index(self.bounds, value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        self.sum_bits
-            .store((sum + value * n as f64).to_bits(), Ordering::Relaxed);
-    }
-
-    fn fold_into(&self, h: &mut Histogram) {
-        let mut shard = Histogram::new(self.bounds);
-        for (dst, src) in shard.counts.iter_mut().zip(&self.counts) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        shard.count = self.count.load(Ordering::Relaxed);
-        shard.sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        h.merge(&shard);
-    }
-
-    /// Zero the shard (after a draining fold).
-    fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0.0f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
 /// Record one observation into the named histogram, using the static
 /// per-metric bucket table ([`default_bounds`]).
 pub fn histogram(name: &'static str, value: f64) {
-    histogram_count_with(name, value, 1, default_bounds(name));
+    observe(name, value, 1, || default_bounds(name));
 }
 
 /// Record one observation with explicit static bucket bounds. Every
 /// recording site for a given metric name must use the same bounds.
 pub fn histogram_with(name: &'static str, value: f64, bounds: &'static [f64]) {
-    histogram_count_with(name, value, 1, bounds);
+    observe(name, value, 1, || bounds);
 }
 
 /// Record `n` observations of `value` at once (duration weighting: the
 /// executor records each power segment with `n` = its length in
 /// microseconds, so bucket counts measure GPU-time residency).
 pub fn histogram_count(name: &'static str, value: f64, n: u64) {
-    histogram_count_with(name, value, n, default_bounds(name));
+    observe(name, value, n, || default_bounds(name));
 }
 
 /// [`histogram_count`] with explicit static bucket bounds.
 pub fn histogram_count_with(name: &'static str, value: f64, n: u64, bounds: &'static [f64]) {
+    observe(name, value, n, || bounds);
+}
+
+/// Record `n` observations into the bound session's histogram `name`.
+/// The bucket table is only resolved the first time the session records
+/// that metric, so with no session bound this costs one thread-local read.
+fn observe(name: &'static str, value: f64, n: u64, bounds: impl FnOnce() -> &'static [f64]) {
     if n == 0 {
         return;
     }
     if let Some(rec) = current() {
-        rec.observe_histogram(name, value, n, bounds);
+        lock(&rec.log)
+            .report
+            .histograms
+            .entry(name)
+            .or_insert_with(|| Histogram::new(bounds()))
+            .observe_n(value, n);
     }
 }
 
@@ -1333,10 +1070,9 @@ impl LogRecord {
 
 /// The journal proper: severity-partitioned bounded buffers plus the
 /// admission counter. One process-wide instance behind a mutex — log
-/// rates are decision-point rates (backpressure, evictions, failures),
-/// not event rates, so a single short critical section beats the staged
-/// ring's complexity here, and admission-under-lock is what keeps the
-/// sequence stream dense (no in-flight gaps for the cursor reader).
+/// rates are decision-point rates (backpressure, evictions, failures) —
+/// and, as in a session's recorder, admission-under-lock is what keeps
+/// the sequence stream dense (no in-flight gaps for the cursor reader).
 struct JournalInner {
     next_seq: u64,
     admitted: [u64; LOG_LEVELS],
@@ -1569,20 +1305,30 @@ pub struct SpanNode {
 /// Everything a finished [`Session`] captured.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// Raw events, stably ordered by timestamp (per-thread record order is
-    /// preserved exactly).
+    /// Raw events in admission (`seq`) order, which is also timestamp
+    /// order; each thread's record order is preserved exactly.
     pub events: Vec<Event>,
     /// Aggregated counters.
     pub counters: BTreeMap<&'static str, u64>,
     /// Last-value gauges.
     pub gauges: BTreeMap<&'static str, f64>,
-    /// Folded per-metric histograms (every thread's shards merged).
+    /// Per-metric histograms, every recording thread's observations merged.
     pub histograms: BTreeMap<&'static str, Histogram>,
     /// Events discarded because the session's event budget was exhausted.
     pub dropped: u64,
 }
 
 impl TraceReport {
+    fn empty(dropped: u64) -> TraceReport {
+        TraceReport {
+            events: Vec::new(),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            dropped,
+        }
+    }
+
     /// Reconstruct spans (Enter/Exit matched by id) in enter order.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
@@ -1755,38 +1501,52 @@ impl TraceReport {
         found.into_iter().map(|(_, _, agg)| agg).collect()
     }
 
-    /// Counter/gauge/span-duration view of the report for the Prometheus
-    /// exposition ([`MetricsSnapshot::to_prom`]).
+    /// Render the report in the Prometheus text exposition format
+    /// (version 0.0.4): counters as `vpp_<name>_total`, gauges as
+    /// `vpp_<name>`, histograms as cumulative `vpp_<name>_bucket` series,
+    /// and the per-span-name [`TraceReport::aggregate`] as a
+    /// `vpp_span_duration_seconds` summary with a `span` label (open spans
+    /// count with zero duration). Metric names are sanitised to the
+    /// `[a-zA-Z_:][a-zA-Z0-9_:]*` charset (the dots of the trace
+    /// vocabulary become underscores); label values are escaped per the
+    /// exposition spec. Counters only grow while a session runs, so the
+    /// exposition of successive live snapshots is scrape-safe.
     #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut spans: BTreeMap<String, SpanSummary> = BTreeMap::new();
-        for s in self.spans() {
-            let e = spans.entry(s.name.to_string()).or_insert_with(|| SpanSummary {
-                name: s.name.to_string(),
-                count: 0,
-                total_s: 0.0,
-            });
-            e.count += 1;
-            e.total_s += s.duration_ns().unwrap_or(0) as f64 / 1e9;
+    pub fn to_prom(&self) -> String {
+        let mut out = String::new();
+        for (name, v) in &self.counters {
+            let metric = format!("vpp_{}_total", prom_name(name));
+            let _ = writeln!(out, "# TYPE {metric} counter");
+            let _ = writeln!(out, "{metric} {v}");
         }
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| ((*k).to_string(), h.clone()))
-                .collect(),
-            spans: spans.into_values().collect(),
+        for (name, v) in &self.gauges {
+            let metric = format!("vpp_{}", prom_name(name));
+            let _ = writeln!(out, "# TYPE {metric} gauge");
+            let _ = writeln!(out, "{metric} {}", prom_f64(*v));
         }
+        for (name, h) in &self.histograms {
+            let metric = format!("vpp_{}", prom_name(name));
+            let _ = writeln!(out, "# TYPE {metric} histogram");
+            h.to_prom_lines(&metric, "", &mut out);
+        }
+        let spans = self.aggregate().spans;
+        if !spans.is_empty() {
+            let _ = writeln!(out, "# TYPE vpp_span_duration_seconds summary");
+            for s in &spans {
+                let label = prom_label_value(&s.name);
+                let _ = writeln!(
+                    out,
+                    "vpp_span_duration_seconds_count{{span=\"{label}\"}} {}",
+                    s.count
+                );
+                let _ = writeln!(
+                    out,
+                    "vpp_span_duration_seconds_sum{{span=\"{label}\"}} {}",
+                    prom_f64(s.wall_ns as f64 / 1e9)
+                );
+            }
+        }
+        out
     }
 
     /// Serialise the report as a JSON value: span forest, marks, counters,
@@ -1874,7 +1634,7 @@ impl TraceReport {
     /// object per event ([`Event::to_json`]), in report order. Every line
     /// re-parses with [`crate::json::parse`]; counters and gauges are not
     /// events and live in [`TraceReport::to_json`] /
-    /// [`MetricsSnapshot::to_prom`] instead.
+    /// [`TraceReport::to_prom`] instead.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -1934,7 +1694,7 @@ pub enum ExportFormat {
     Json,
     /// One compact JSON event per line ([`TraceReport::to_jsonl`]).
     Jsonl,
-    /// Prometheus text exposition ([`MetricsSnapshot::to_prom`]).
+    /// Prometheus text exposition ([`TraceReport::to_prom`]).
     Prom,
 }
 
@@ -2016,7 +1776,7 @@ impl TraceReport {
                 Some(doc)
             }
             ExportFormat::Jsonl => Some(self.to_jsonl()),
-            ExportFormat::Prom => Some(self.metrics_snapshot().to_prom()),
+            ExportFormat::Prom => Some(self.to_prom()),
         }
     }
 }
@@ -2187,79 +1947,6 @@ impl TraceAggregate {
     }
 }
 
-/// Per-span-name duration summary inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSummary {
-    /// Span name.
-    pub name: String,
-    /// Closed-or-open span count.
-    pub count: u64,
-    /// Total wall seconds over closed spans.
-    pub total_s: f64,
-}
-
-/// A scrape-ready view of a session's metrics: counters, gauges, and
-/// span-duration summaries. Produced live via
-/// [`LocalSession::metrics_snapshot`] or from a finished report via
-/// [`TraceReport::metrics_snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Monotone counters.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-value gauges.
-    pub gauges: BTreeMap<String, f64>,
-    /// Folded fixed-bucket histograms.
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Per-name span duration summaries (empty on live snapshots).
-    pub spans: Vec<SpanSummary>,
-}
-
-impl MetricsSnapshot {
-    /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): counters as `vpp_<name>_total`, gauges as
-    /// `vpp_<name>`, span durations as a `vpp_span_duration_seconds`
-    /// summary with a `span` label. Metric names are sanitised to the
-    /// `[a-zA-Z_:][a-zA-Z0-9_:]*` charset (the dots of the trace
-    /// vocabulary become underscores); label values are escaped per the
-    /// exposition spec.
-    #[must_use]
-    pub fn to_prom(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let metric = format!("vpp_{}_total", prom_name(name));
-            let _ = writeln!(out, "# TYPE {metric} counter");
-            let _ = writeln!(out, "{metric} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let metric = format!("vpp_{}", prom_name(name));
-            let _ = writeln!(out, "# TYPE {metric} gauge");
-            let _ = writeln!(out, "{metric} {}", prom_f64(*v));
-        }
-        for (name, h) in &self.histograms {
-            let metric = format!("vpp_{}", prom_name(name));
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            h.to_prom_lines(&metric, "", &mut out);
-        }
-        if !self.spans.is_empty() {
-            let _ = writeln!(out, "# TYPE vpp_span_duration_seconds summary");
-            for s in &self.spans {
-                let label = prom_label_value(&s.name);
-                let _ = writeln!(
-                    out,
-                    "vpp_span_duration_seconds_count{{span=\"{label}\"}} {}",
-                    s.count
-                );
-                let _ = writeln!(
-                    out,
-                    "vpp_span_duration_seconds_sum{{span=\"{label}\"}} {}",
-                    prom_f64(s.total_s)
-                );
-            }
-        }
-        out
-    }
-}
-
 /// Sanitise a trace name into the Prometheus metric-name charset.
 fn prom_name(name: &str) -> String {
     let mut out: String = name
@@ -2416,16 +2103,15 @@ mod tests {
 
     #[test]
     fn buffered_appends_survive_unflushed_threads_and_preserve_order() {
-        // More events than one FLUSH_BATCH on the main thread plus worker
-        // threads whose trailing marks stay staged until their binding
-        // ends: everything must still land in the report, per-thread
-        // order intact (well_formed checks the Enter/Exit pairing per
-        // thread).
+        // Hundreds of events on the main thread plus worker threads that
+        // end right after their last mark: everything must land in the
+        // report, per-thread order intact (well_formed checks the
+        // Enter/Exit pairing per thread).
         let s = session(1 << 14);
         let sess: &LocalSession = &s;
         {
             let _root = span!("root");
-            for _ in 0..(FLUSH_BATCH + 17) {
+            for _ in 0..(256 + 17) {
                 let _m = span!("main.iter");
             }
             std::thread::scope(|scope| {
@@ -2445,11 +2131,11 @@ mod tests {
         let spans = report.spans();
         assert_eq!(
             spans.iter().filter(|s| s.name == "main.iter").count(),
-            FLUSH_BATCH + 17
+            256 + 17
         );
         assert_eq!(spans.iter().filter(|s| s.name == "worker.iter").count(), 15);
         assert_eq!(report.marks().len(), 3);
-        // Timestamps are globally sorted after the merge.
+        // Timestamps are globally sorted.
         assert!(report.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
@@ -2609,7 +2295,7 @@ mod tests {
         counter("prom.hits", 3);
         gauge("prom.overshoot_w", 1.25);
         let report = s.finish();
-        let prom = report.metrics_snapshot().to_prom();
+        let prom = report.to_prom();
         assert!(prom.contains("# TYPE vpp_prom_hits_total counter"));
         assert!(prom.contains("vpp_prom_hits_total 3"));
         assert!(prom.contains("# TYPE vpp_prom_overshoot_w gauge"));
@@ -2626,7 +2312,7 @@ mod tests {
         counter("evil metric-name{inject=\"1\"}", 2);
         gauge("99 problems", 1.0);
         let report = s.finish();
-        let prom = report.metrics_snapshot().to_prom();
+        let prom = report.to_prom();
         // Characters outside [a-zA-Z0-9_:] collapse to underscores and a
         // leading digit gets a guard, so the injected label syntax never
         // reaches the metric name.
@@ -2659,9 +2345,9 @@ mod tests {
         assert_eq!(spans[0].name, "live.outer");
         assert!(spans[0].t_exit_ns.is_none(), "span was still open");
         assert_eq!(live.counters["live.ticks"], 3);
-        let metrics = s.metrics_snapshot();
+        let metrics = s.snapshot();
         assert!((metrics.gauges["live.coverage"] - 0.75).abs() < 1e-12);
-        assert!(metrics.spans.iter().any(|s| s.name == "live.outer"));
+        assert!(metrics.aggregate().span("live.outer").is_some());
         // The snapshot drained nothing: finish still sees everything.
         let report = s.finish();
         assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
@@ -2672,16 +2358,15 @@ mod tests {
 
     #[test]
     fn live_snapshot_under_concurrent_writers_does_not_deadlock() {
-        // Writers batch-flush (buffer lock → central lock) while the main
-        // thread snapshots (central lock, then buffer locks one at a
-        // time); this storms both paths together.
+        // Writers append under the session lock while the main thread
+        // snapshots under the same lock; this storms both paths together.
         let s = session(1 << 16);
         let sess: &LocalSession = &s;
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     let _bind = sess.bind();
-                    for _ in 0..(2 * FLUSH_BATCH) {
+                    for _ in 0..(2 * 256) {
                         let _g = span!("storm.iter");
                     }
                 });
@@ -2694,7 +2379,7 @@ mod tests {
         assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
         assert_eq!(
             report.spans().iter().filter(|s| s.name == "storm.iter").count(),
-            4 * 2 * FLUSH_BATCH
+            4 * 2 * 256
         );
     }
 
@@ -2737,18 +2422,18 @@ mod tests {
     fn live_snapshot_counters_are_monotone() {
         let s = session(64);
         counter("mono.ticks", 2);
-        let first = s.metrics_snapshot();
+        let first = s.snapshot();
         counter("mono.ticks", 3);
         {
             let _g = span!("mono.span");
         }
-        let second = s.metrics_snapshot();
+        let second = s.snapshot();
         let _ = s.finish();
         assert_eq!(first.counters["mono.ticks"], 2);
         assert_eq!(second.counters["mono.ticks"], 5);
-        assert!(first.spans.is_empty());
+        assert!(first.aggregate().spans.is_empty());
         assert!(
-            second.spans.iter().any(|sp| sp.name == "mono.span"),
+            second.aggregate().span("mono.span").is_some(),
             "live snapshots carry span summaries"
         );
     }
@@ -2861,24 +2546,25 @@ mod tests {
     }
 
     #[test]
-    fn local_binding_releases_the_staging_buffer_on_teardown() {
-        // A long-lived thread must not pin a finished session's staging
-        // buffer in its thread-local slot: once the binding and the
-        // session are gone, every allocation must actually free (this is
-        // what makes a registry's TTL eviction reclaim memory).
+    fn local_binding_releases_the_recorder_on_teardown() {
+        // A long-lived thread must not pin a finished session's recorder
+        // in its thread-local state: once the binding and the session are
+        // gone, every allocation must actually free (this is what makes a
+        // registry's TTL eviction reclaim memory).
         let sess = local_session(64);
-        let weak_buf = {
+        let weak_rec = Arc::downgrade(&sess.rec);
+        {
             let _bind = sess.bind();
-            mark("teardown.mark"); // forces a staging buffer into TL_BUFFER
-            let buffers = lock(&sess.rec.buffers);
-            Arc::downgrade(&buffers[0])
-        };
-        // Binding dropped: the TL slot let go, only the recorder holds it.
-        assert!(weak_buf.upgrade().is_some());
+            mark("teardown.mark");
+            let _g = span!("teardown.span");
+            histogram("teardown_watts", 300.0);
+        }
+        // Binding dropped: only the session holds the recorder.
+        assert!(weak_rec.upgrade().is_some());
         drop(sess);
         assert!(
-            weak_buf.upgrade().is_none(),
-            "staging buffer outlived binding + session"
+            weak_rec.upgrade().is_none(),
+            "recorder outlived binding + session"
         );
     }
 
@@ -2898,9 +2584,12 @@ mod tests {
         });
         let admitted = sess.admitted();
         assert_eq!(admitted, 800);
-        let mut seqs: Vec<u64> = sess.finish().events.iter().map(|e| e.seq).collect();
-        seqs.sort_unstable();
+        // The finished report is already in seq and t_ns order: both are
+        // stamped under the session lock at append.
+        let events = sess.finish().events;
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..800).collect::<Vec<u64>>());
+        assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
     #[test]
@@ -2912,7 +2601,7 @@ mod tests {
                 let sess = sess.clone();
                 scope.spawn(move || {
                     let _bind = sess.bind();
-                    for _ in 0..(FLUSH_BATCH + 37) {
+                    for _ in 0..(256 + 37) {
                         mark("cursor.mark");
                     }
                 });
@@ -2929,14 +2618,52 @@ mod tests {
                 }
                 seen.extend(chunk.events.iter().map(|e| e.seq));
                 cursor = chunk.next;
-                if !chunk.more && seen.len() as u64 >= 3 * (FLUSH_BATCH as u64 + 37) {
+                if !chunk.more && seen.len() as u64 >= 3 * (256 + 37) {
                     break;
                 }
                 std::thread::yield_now();
             }
-            assert_eq!(seen, (0..3 * (FLUSH_BATCH as u64 + 37)).collect::<Vec<u64>>());
+            assert_eq!(seen, (0..3 * (256 + 37)).collect::<Vec<u64>>());
         });
         assert_eq!(sess.dropped(), 0);
+    }
+
+    #[test]
+    fn cursor_follower_gets_past_a_drain() {
+        // A clone that outlives `finish` keeps recording with seqs that
+        // carry on from the drained ones; a follower polling from 0 must
+        // reach the new events instead of waiting for drained seqs.
+        let sess = local_session(64);
+        let clone = sess.clone();
+        {
+            let _bind = sess.bind();
+            for _ in 0..10 {
+                mark("drain.before");
+            }
+        }
+        assert_eq!(sess.finish().events.len(), 10);
+        {
+            let _bind = clone.bind();
+            for _ in 0..5 {
+                mark("drain.after");
+            }
+        }
+        let mut seen: Vec<u64> = Vec::new();
+        let mut cursor = 0u64;
+        let mut more = true;
+        // Bounded, so a follower stuck before the drained seqs fails the
+        // test instead of spinning.
+        for _ in 0..16 {
+            let chunk = clone.events_after(cursor, 64);
+            seen.extend(chunk.events.iter().map(|e| e.seq));
+            cursor = chunk.next;
+            more = chunk.more;
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(seen, (10..15).collect::<Vec<u64>>());
+        assert!(!more, "the follower caught up");
     }
 
     #[test]
@@ -2966,7 +2693,7 @@ mod tests {
         let expected_sum = (lo - 40) as f64 * 80.0 + 40.0 * 65.0 + hi as f64 * 340.0;
         assert!((h.sum() - expected_sum).abs() < 1e-6);
 
-        let prom = report.metrics_snapshot().to_prom();
+        let prom = report.to_prom();
         assert!(prom.contains("# TYPE vpp_power_watts histogram"), "{prom}");
         assert!(prom.contains("vpp_power_watts_bucket{le=\"+Inf\"} 440"), "{prom}");
         assert!(prom.contains("vpp_power_watts_count 440"), "{prom}");
@@ -2988,7 +2715,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_drains_on_finish_but_shards_survive_for_surviving_clones() {
+    fn histogram_drains_on_finish_and_surviving_clones_start_empty() {
         let sess = local_session(256);
         let clone = sess.clone();
         {
@@ -2997,8 +2724,8 @@ mod tests {
         }
         let report = sess.finish();
         assert_eq!(report.histograms["power_watts"].count(), 1);
-        // The drain zeroed the shards: a later snapshot through a clone
-        // starts from empty rather than double counting.
+        // The drain emptied the histograms: a later snapshot through a
+        // clone starts from empty rather than double counting.
         let again = clone.snapshot();
         assert_eq!(
             again.histograms.get("power_watts").map_or(0, Histogram::count),
@@ -3111,10 +2838,10 @@ mod histogram_properties {
     use super::*;
 
     crate::properties! {
-        /// Folded per-thread shards must equal single-threaded
-        /// accumulation of the same observations, regardless of how the
-        /// observations are partitioned across threads.
-        fn folded_shards_equal_single_threaded_accumulation(rng) {
+        /// Observations recorded from several threads must equal
+        /// single-threaded accumulation of the same observations,
+        /// regardless of how they are partitioned across threads.
+        fn cross_thread_recording_equals_single_threaded_accumulation(rng) {
             let n_threads = 1 + rng.index(6);
             let per_thread: Vec<Vec<(f64, u64)>> = (0..n_threads)
                 .map(|_| {

@@ -31,7 +31,7 @@ fn recorded() -> trace::TraceReport {
 #[test]
 fn prom_exposition_follows_the_text_format() {
     let report = recorded();
-    let prom = report.metrics_snapshot().to_prom();
+    let prom = report.to_prom();
     let name_ok = |n: &str| {
         !n.is_empty()
             && !n.starts_with(|c: char| c.is_ascii_digit())
@@ -82,9 +82,9 @@ fn prom_exposition_follows_the_text_format() {
 fn live_counters_are_monotone_while_the_session_runs() {
     let session = trace::session(1 << 12);
     trace::counter("export.ticks", 1);
-    let first = session.metrics_snapshot();
+    let first = session.snapshot();
     trace::counter("export.ticks", 2);
-    let second = session.metrics_snapshot();
+    let second = session.snapshot();
     assert_eq!(first.counters["export.ticks"], 1);
     assert_eq!(second.counters["export.ticks"], 3);
     assert!(second.counters["export.ticks"] >= first.counters["export.ticks"]);

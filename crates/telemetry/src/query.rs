@@ -1,5 +1,5 @@
 //! Analysis queries over the archive — the role of NERSC's OMNI querying
-//! scripts ([20] in the paper): per-job energy integration, fleet
+//! scripts (\[20\] in the paper): per-job energy integration, fleet
 //! aggregation across nodes, job-total power series, and CSV export.
 
 use crate::series::TimeSeries;

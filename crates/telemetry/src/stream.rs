@@ -1,7 +1,7 @@
 //! Live metric streaming — the distributed shape of LDMS.
 //!
 //! The real LDMS is a network of per-node sampler daemons pushing metric
-//! sets to aggregators (paper §II-B, ref [19]). This module reproduces that
+//! sets to aggregators (paper §II-B, ref \[19\]). This module reproduces that
 //! topology in-process: node producers send [`Sample`]s over a bounded
 //! `std::sync::mpsc::sync_channel` to one aggregator thread that folds
 //! them into per-channel series and exposes them on completion.

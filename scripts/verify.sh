@@ -14,6 +14,10 @@ cargo build --release --offline --workspace
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline --workspace -- -D warnings
 
+echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
+# A deleted or private item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

@@ -423,6 +423,8 @@ fn trace_cursor_delivers_each_event_exactly_once_across_chunks() {
     assert_eq!(status, 400, "{body}");
     let (status, _, body) = get(addr, &format!("/jobs/{id}/trace?after=x"));
     assert_eq!(status, 400, "{body}");
+    let (status, _, body) = get(addr, &format!("/jobs/{id}/trace?limit=0"));
+    assert_eq!(status, 400, "{body}");
 
     h.shutdown();
 }

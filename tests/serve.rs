@@ -506,6 +506,14 @@ fn logs_cursor_is_exactly_once_under_concurrent_writers() {
     // Malformed cursor parameters are client errors, not shrugs.
     let (status, _, _) = get(addr, "/logs?after=x");
     assert_eq!(status, 400);
+    for bad_limit in ["/logs?limit=0", "/logs?limit=x"] {
+        let (status, _, body) = get(addr, bad_limit);
+        assert_eq!(status, 400, "{bad_limit}: {body}");
+        assert!(
+            body.contains("'limit' must be a positive integer"),
+            "{body}"
+        );
+    }
     let (status, _, body) = get(addr, "/logs?level=noise");
     assert_eq!(status, 400);
     assert!(body.contains("unknown log level"), "{body}");
