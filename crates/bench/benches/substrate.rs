@@ -167,33 +167,6 @@ fn bench_lqcd_lowering(h: &mut Harness) {
     });
 }
 
-fn bench_fleet(h: &mut Harness) {
-    let mut deck = vpp_dft::Incar::default_deck();
-    deck.nelm = 6;
-    let p = vpp_dft::SystemParams::derive(&vpp_dft::Supercell::silicon(128), &deck);
-    let plan = vpp_dft::build_plan(
-        &p,
-        &vpp_dft::ParallelLayout::nodes(1),
-        &vpp_dft::CostModel::calibrated(),
-    );
-    let requests: Vec<vpp_fleet::JobRequest> = (0..4)
-        .map(|id| vpp_fleet::JobRequest {
-            id,
-            name: format!("j{id}"),
-            plan: plan.clone(),
-            nodes: 1,
-            arrival_s: id as f64 * 5.0,
-            cap_w: None,
-            est_node_power_w: 1100.0,
-        })
-        .collect();
-    let spec = vpp_fleet::FleetSpec::new(2);
-    let net = vpp_cluster::NetworkModel::perlmutter();
-    h.bench("fleet_four_jobs_two_nodes", || {
-        vpp_fleet::simulate(&spec, &requests, &net).makespan_s
-    });
-}
-
 fn main() {
     let mut h = Harness::new("substrate");
     bench_trace_ops(&mut h);
@@ -203,6 +176,5 @@ fn main() {
     bench_plan_lowering(&mut h);
     bench_parsers(&mut h);
     bench_lqcd_lowering(&mut h);
-    bench_fleet(&mut h);
     h.finish();
 }

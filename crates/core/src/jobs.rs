@@ -9,16 +9,15 @@
 //! [`protocol::measure`](crate::protocol::measure) under the job's own trace session.
 
 use crate::benchmarks::{suite, Benchmark};
-use crate::protocol::{measure_cancellable, Canceled, RunConfig, StudyContext};
+use crate::protocol::{check_cap_w, measure_cancellable, Canceled, RunConfig, StudyContext};
 use vpp_stats::PowerSummary;
 use vpp_substrate::json::Value;
 use vpp_substrate::serve::{CancelToken, JobHandler};
 
 /// Bounds a submitted spec must respect. Nodes cover the paper's scaling
-/// sweep with headroom; caps are the A100's supported window; repeats and
+/// sweep with headroom; caps are checked by [`check_cap_w`]; repeats and
 /// sampling keep one job's cost bounded on a shared service.
 const MAX_NODES: usize = 128;
-const CAP_RANGE_W: (f64, f64) = (100.0, 400.0);
 const MAX_REPEATS: usize = 16;
 const SAMPLE_INTERVAL_RANGE_S: (f64, f64) = (0.01, 10.0);
 
@@ -92,11 +91,7 @@ impl ServiceJobSpec {
                 let cap = v
                     .as_f64()
                     .ok_or_else(|| format!("'cap_w' must be a number, got {}", v.compact()))?;
-                let (lo, hi) = CAP_RANGE_W;
-                if !(lo..=hi).contains(&cap) {
-                    return Err(format!("'cap_w' must be in {lo}..={hi} W, got {cap}"));
-                }
-                Some(cap)
+                Some(check_cap_w("'cap_w'", cap)?)
             }
         };
         let repeats = match doc.get("repeats") {
@@ -275,6 +270,7 @@ mod tests {
             (r#"{"workload": "Si256_hse", "nodes": 0}"#, "'nodes' must be in"),
             (r#"{"workload": "Si256_hse", "nodes": 2.5}"#, "non-negative integer"),
             (r#"{"workload": "Si256_hse", "cap_w": 950}"#, "'cap_w' must be in"),
+            (r#"{"workload": "Si256_hse", "cap_w": 99.5}"#, "'cap_w' must be in"),
             (r#"{"workload": "Si256_hse", "repeats": 99}"#, "'repeats' must be in"),
             (
                 r#"{"workload": "Si256_hse", "sample_interval_s": 0}"#,

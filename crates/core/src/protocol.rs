@@ -9,6 +9,7 @@
 use crate::benchmarks::Benchmark;
 use vpp_cluster::{execute, JobResult, JobSpec, NetworkModel};
 use vpp_dft::{build_plan, CostModel, ParallelLayout, PhaseKind, ScfPlan};
+use vpp_gpu::A100Spec;
 use vpp_stats::PowerSummary;
 use vpp_telemetry::{quarantine, DataQuality, QualityConfig, RawSeries, Sampler, TimeSeries};
 
@@ -67,6 +68,23 @@ impl StudyContext {
 impl Default for StudyContext {
     fn default() -> Self {
         Self::paper()
+    }
+}
+
+/// Check a user-supplied GPU power cap against the settable window of the
+/// boards every node carries (`A100Spec::default()`: 100..=400 W, §V-A).
+/// `what` names the input in the message, e.g. `'cap_w'` or `--cap`.
+///
+/// # Errors
+/// `"{what} must be in 100..=400 W, got {cap_w}"` for a cap outside the
+/// window, NaN and infinities included.
+pub fn check_cap_w(what: &str, cap_w: f64) -> Result<f64, String> {
+    let spec = A100Spec::default();
+    let (lo, hi) = (spec.min_cap_w, spec.max_cap_w);
+    if (lo..=hi).contains(&cap_w) {
+        Ok(cap_w)
+    } else {
+        Err(format!("{what} must be in {lo}..={hi} W, got {cap_w}"))
     }
 }
 

@@ -27,7 +27,6 @@ pub mod io;
 pub mod method;
 pub mod params;
 pub mod plan;
-pub mod relax;
 pub mod scf;
 
 pub use cell::{Element, Supercell};
@@ -37,5 +36,4 @@ pub use io::{parse_incar, parse_kpoints, parse_poscar, ParseError};
 pub use method::Method;
 pub use params::SystemParams;
 pub use plan::{CollectiveKind, Op, PhaseKind, PlanPhase, ScfPlan};
-pub use relax::IonicRun;
 pub use scf::{build_plan, ParallelLayout};

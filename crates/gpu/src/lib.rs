@@ -20,7 +20,6 @@
 
 pub mod calib;
 pub mod dvfs;
-pub mod dvfs_control;
 pub mod kernel;
 pub mod power;
 pub mod thermal;
@@ -28,7 +27,6 @@ pub mod variability;
 
 pub use calib::A100Spec;
 pub use dvfs::DvfsCurve;
-pub use dvfs_control::{DvfsControl, DvfsExecuted};
 pub use kernel::{Kernel, KernelKind};
 pub use power::{Executed, Gpu};
 pub use thermal::ThermalModel;

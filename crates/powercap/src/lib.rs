@@ -1,10 +1,9 @@
 //! GPU power capping and power-aware scheduling.
 //!
-//! Three layers:
+//! A cap reaches the GPU model through the cluster's
+//! `JobSpec::gpu_power_cap_w`; this crate decides which cap each job runs
+//! under:
 //!
-//! * [`nvidia_smi`] — the `nvidia-smi -pl` analogue the paper uses to set
-//!   GPU power limits (§V): validated limits, per-GPU or node-wide, with
-//!   query support.
 //! * [`scheduler`] — the power-aware batch scheduler the paper proposes in
 //!   §VI: classify jobs by workload type, cap VASP-like jobs at 50 % TDP
 //!   (which costs <10 % performance), and reallocate the spared power to
@@ -21,17 +20,18 @@
 //! * [`campaign`] — datacenter-scale what-if campaigns: thousands of
 //!   seeded heterogeneous jobs over partitioned machines, shard-parallel
 //!   DES with deterministic merging, compared across cap policies.
+//! * [`controller`] — the closed-loop controller that holds a running
+//!   set of jobs under a facility power budget by re-dividing cap
+//!   headroom every scheduling cycle.
 
 pub mod campaign;
 pub mod controller;
-pub mod nvidia_smi;
 pub mod policy;
 pub mod scheduler;
 pub mod site;
 
 pub use campaign::{CampaignOutcome, CampaignSpec, Distribution};
 pub use controller::{ControlledJob, Controller};
-pub use nvidia_smi::{GpuPowerInfo, NvidiaSmi, SmiError};
 pub use policy::{CapPolicy, PolicyCtx, SiteView, TcoAware, TcoPrices};
 pub use scheduler::{BatchJob, CapResponse, ScheduleOutcome, Scheduler, WorkloadClass};
 pub use site::{SiteBudget, SiteRun};

@@ -471,8 +471,7 @@ impl PowerTrace {
 
     /// Re-quantise onto windows of `dt` seconds, replacing each window with
     /// its mean power. Energy is conserved exactly (up to rounding); detail
-    /// finer than `dt` is lost. Used to bound the memory of archived
-    /// fleet-scale traces.
+    /// finer than `dt` is lost.
     ///
     /// One forward sweep shared with [`window_means`](Self::window_means):
     /// O(segments + windows). Window boundaries are `start + i·dt`

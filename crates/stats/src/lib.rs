@@ -23,7 +23,6 @@ pub mod energy_metrics;
 pub mod kde;
 pub mod modes;
 pub mod perf;
-pub mod periodicity;
 pub mod phases;
 pub mod summary;
 pub mod trace_diff;
@@ -34,7 +33,6 @@ pub use energy_metrics::{best_point, Objective, OperatingPoint};
 pub use kde::Kde;
 pub use modes::{find_modes, fwhm, high_power_mode, DensityProfile, Mode};
 pub use perf::parallel_efficiency;
-pub use periodicity::{autocorrelation, dominant_period};
 pub use phases::{Phase, Segmenter};
 pub use summary::{PowerSummary, ScreenedSummary};
 pub use trace_diff::{diff as trace_diff, CounterDelta, DiffConfig, DiffRow, TraceDiff};

@@ -1,4 +1,4 @@
-//! Power telemetry: the LDMS / OMNI analogue (§II-B).
+//! Power telemetry: the LDMS analogue (§II-B).
 //!
 //! NERSC's monitoring stack samples Cray PM counters at a nominal 1-second
 //! interval, but aggregate data rates force drops, yielding an effective
@@ -9,30 +9,22 @@
 //!   a configurable interval, with stochastic sample drops and jitter;
 //! * [`TimeSeries`] — the sampled series, with the down-sampling used in the
 //!   paper's Fig. 2 sampling-rate study and gap statistics;
-//! * [`Store`] — a queryable, thread-safe archive of per-node, per-channel
-//!   series, standing in for the OMNI data warehouse;
 //! * [`quality`] — the quarantine-and-quality ingest that screens dirty
 //!   raw streams into valid series plus a [`DataQuality`] account;
 //! * [`faults`] — the seeded [`FaultPlan`] injector reproducing realistic
 //!   telemetry pathologies (dropout bursts, stuck sensors, NaN/spike
-//!   glitches, clock skew, counter resets, reordering, duplicates).
+//!   glitches, clock skew, counter resets, reordering, duplicates);
+//! * [`screening`] — the §III-B.1 per-node screen that flags nodes whose
+//!   power deviates from the rest of the job's fleet.
 
-pub mod archive;
 pub mod faults;
 pub mod quality;
-pub mod query;
 pub mod sampler;
 pub mod screening;
 pub mod series;
-pub mod store;
-pub mod stream;
 
-pub use archive::{export_dir, import_dir};
 pub use faults::{FaultLog, FaultPlan};
 pub use quality::{quarantine, CleanSeries, DataQuality, QualityConfig, RawSeries};
-pub use query::{from_csv, to_csv, FleetStats, Query};
 pub use sampler::Sampler;
 pub use screening::{NodeVerdict, Screener};
 pub use series::TimeSeries;
-pub use store::{Channel, Store};
-pub use stream::{LiveCollector, Producer, Sample};

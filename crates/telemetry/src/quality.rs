@@ -227,8 +227,7 @@ pub struct CleanSeries {
 /// 1. non-finite values out;
 /// 2. implausible values out (spikes above, counter resets below the band);
 /// 3. arrival-order inversions counted, then a stable timestamp sort;
-/// 4. duplicate timestamps resolved keep-last (matching
-///    [`LiveCollector::finish`](crate::LiveCollector::finish));
+/// 4. duplicate timestamps resolved keep-last;
 /// 5. stuck-sensor runs collapsed to their first sample;
 /// 6. gap/coverage statistics on what remains.
 ///

@@ -1,15 +1,13 @@
 //! End-to-end fault-injection suite: for every pathology class in
-//! [`FaultPlan`], drive the full pipeline — sampler → live collector →
-//! quarantine → stats summary — and check that (a) nothing panics and
-//! (b) the [`DataQuality`] report's counts match the injected [`FaultLog`]
-//! exactly. The injector is the ground truth the quarantine is audited
-//! against.
+//! [`FaultPlan`], drive the full pipeline — sampler → quarantine → stats
+//! summary — and check that (a) nothing panics and (b) the [`DataQuality`]
+//! report's counts match the injected [`FaultLog`] exactly. The injector
+//! is the ground truth the quarantine is audited against.
 
 use vpp_sim::PowerTrace;
 use vpp_stats::PowerSummary;
 use vpp_telemetry::{
-    quarantine, Channel, CleanSeries, FaultLog, FaultPlan, LiveCollector, QualityConfig,
-    RawSeries, Sample, Sampler,
+    quarantine, CleanSeries, FaultLog, FaultPlan, QualityConfig, RawSeries, Sampler,
 };
 
 const INTERVAL_S: f64 = 1.0;
@@ -28,38 +26,13 @@ fn cfg() -> QualityConfig {
 }
 
 /// Run the whole pipeline: sample the trace, corrupt the series with
-/// `plan`, deliver the dirty stream through the live collector, and
-/// quarantine what arrives. Returns the clean series + the injection log.
+/// `plan`, and quarantine the dirty stream. Returns the clean series + the
+/// injection log.
 fn pipeline(plan: &FaultPlan) -> (CleanSeries, FaultLog) {
     let series = Sampler::ideal(INTERVAL_S).sample(&varied_trace());
     assert_eq!(series.len(), N);
     let (raw, log) = plan.inject(&series);
-
-    let collector = LiveCollector::start(64);
-    let producer = collector.producer();
-    let feeder = std::thread::spawn(move || {
-        for &(t, watts) in raw.points() {
-            assert!(producer.push(Sample {
-                node: 0,
-                channel: Channel::Node,
-                t,
-                watts,
-            }));
-        }
-        raw
-    });
-    let raw_back = feeder.join().unwrap();
-    let clean = collector
-        .finish_quarantined(&cfg())
-        .remove(&(0, Channel::Node))
-        .unwrap_or_else(|| quarantine(&RawSeries::new(), &cfg()));
-
-    // The collector path must agree with quarantining the raw stream
-    // directly — the channel adds no reordering for one producer.
-    let direct = quarantine(&raw_back, &cfg());
-    assert_eq!(clean.quality, direct.quality, "collector must be transparent");
-    assert_eq!(clean.series, direct.series);
-    (clean, log)
+    (quarantine(&raw, &cfg()), log)
 }
 
 /// The summary stage must accept whatever survived quarantine.

@@ -30,8 +30,18 @@ echo "==> cargo test -q --offline -- --test-threads=8 (catches shared state betw
 # recorder; 8 threads (the default on an 8-core machine) exposed it.
 cargo test -q --offline --workspace -- --test-threads=8
 
-echo "==> fault-injection smoke (examples/dirty_telemetry)"
-cargo run -q --release --offline --example dirty_telemetry
+echo "==> examples smoke: every example must exit 0"
+# scrape_metrics needs a live server; the serve smoke below runs it.
+for EXAMPLE in examples/*.rs; do
+    NAME=$(basename "$EXAMPLE" .rs)
+    [ "$NAME" = scrape_metrics ] && continue
+    echo "    $NAME"
+    cargo run -q --release --offline --example "$NAME" > /tmp/vpp_example.out 2>&1 || {
+        cat /tmp/vpp_example.out >&2
+        echo "verify: FAIL — example $NAME exited non-zero" >&2
+        exit 1
+    }
+done
 
 echo "==> trace smoke (vpp trace B.hR105_hse --quick)"
 cargo run -q --release --offline --bin vpp -- trace B.hR105_hse --quick

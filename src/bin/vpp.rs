@@ -411,6 +411,14 @@ fn flag_parse<T: std::str::FromStr>(p: &Parsed, name: &str) -> Result<Option<T>,
         .transpose()
 }
 
+/// `--cap W`, checked against the GPU's settable window before anything
+/// runs or binds.
+fn flag_cap(p: &Parsed) -> Result<Option<f64>, String> {
+    flag_parse::<f64>(p, "cap")?
+        .map(|cap| protocol::check_cap_w("--cap", cap))
+        .transpose()
+}
+
 /// A `--perturb PHASE:FACTOR` value: either a compute phase kind or the
 /// `collective` pseudo-phase stretching network time only.
 #[derive(Clone, Copy)]
@@ -540,7 +548,7 @@ fn cmd_profile(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("profile needs a target")?;
     let bench = resolve(target)?;
     let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
-    let cap = flag_parse::<f64>(p, "cap")?;
+    let cap = flag_cap(p)?;
     let cfg = match cap {
         Some(c) => protocol::RunConfig::capped(nodes, c),
         None => protocol::RunConfig::nodes(nodes),
@@ -798,11 +806,7 @@ fn cmd_campaign(p: &Parsed) -> Result<(), String> {
         return Err("--shards must be positive".into());
     }
     // Fixed-cap storage must outlive the borrow the policy table takes.
-    let fixed: Option<FixedCap> = match flag_parse::<f64>(p, "cap")? {
-        Some(cap) if cap > 0.0 && cap.is_finite() => Some(FixedCap(cap)),
-        Some(cap) => return Err(format!("--cap must be positive, got {cap}")),
-        None => None,
-    };
+    let fixed: Option<FixedCap> = flag_cap(p)?.map(FixedCap);
     let mut policies: Vec<(String, &dyn CapPolicy)> = campaign::baseline_policies()
         .into_iter()
         .map(|(n, p)| (n.to_string(), p as &dyn CapPolicy))
@@ -1075,7 +1079,7 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
     }
     let bench = resolve(target)?;
     let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
-    let cap = flag_parse::<f64>(p, "cap")?;
+    let cap = flag_cap(p)?;
     let mut cfg = match cap {
         Some(c) => protocol::RunConfig::capped(nodes, c),
         None => protocol::RunConfig::nodes(nodes),
@@ -1182,7 +1186,7 @@ fn parse_duration(raw: &str) -> Result<Option<Duration>, String> {
 fn cmd_serve(p: &Parsed) -> Result<(), String> {
     let bench = p.positional.first().map(|t| resolve(t)).transpose()?;
     let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
-    let cap = flag_parse::<f64>(p, "cap")?;
+    let cap = flag_cap(p)?;
     let repeat = flag_parse::<usize>(p, "repeat")?.unwrap_or(1).max(1);
     let port = flag_parse::<u16>(p, "metrics-port")?.unwrap_or(0);
     let max_sessions = flag_parse::<usize>(p, "max-sessions")?.unwrap_or(0);

@@ -13,11 +13,11 @@
 //! * [`dft`] — a plane-wave DFT workload simulator reproducing VASP's
 //!   parallelisation structure and per-method kernel mixes;
 //! * [`cluster`] — a multi-node executor with an NCCL/Slingshot model;
-//! * [`telemetry`] — the LDMS/OMNI-like sampling pipeline;
+//! * [`telemetry`] — the LDMS-like sampling and quarantine pipeline;
 //! * [`stats`] — the paper's analysis methodology (KDE, high power mode,
 //!   FWHM, violins, parallel efficiency);
-//! * [`powercap`] — the `nvidia-smi` capping interface, the §VI
-//!   power-aware scheduler, and a closed-loop budget controller;
+//! * [`powercap`] — the §VI power-aware scheduler, its cap policies and
+//!   campaigns, and a closed-loop budget controller;
 //! * [`lqcd`] — the §VI-B follow-up: a MILC-like lattice-QCD workload run
 //!   through the identical pipeline;
 //! * [`core`] — the Table I benchmark suite, the §III-B measurement
@@ -41,7 +41,6 @@
 pub use vpp_cluster as cluster;
 pub use vpp_core as core;
 pub use vpp_dft as dft;
-pub use vpp_fleet as fleet;
 pub use vpp_gpu as gpu;
 pub use vpp_lqcd as lqcd;
 pub use vpp_node as node;

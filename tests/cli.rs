@@ -116,6 +116,26 @@ fn flags_are_scoped_per_subcommand() {
 }
 
 #[test]
+fn cap_outside_the_gpu_window_is_rejected_before_any_run() {
+    // Unchecked, NaN and infinities panic inside the GPU model, and other
+    // caps outside 100..=400 W run clamped or uncapped under the label given.
+    let mut cases: Vec<Vec<&str>> = ["nan", "inf", "-5", "50", "401"]
+        .into_iter()
+        .map(|cap| vec!["profile", "B.hR105_hse", "--quick", "--cap", cap])
+        .collect();
+    cases.push(vec!["trace", "B.hR105_hse", "--quick", "--cap", "nan"]);
+    cases.push(vec!["campaign", "--jobs", "50", "--cap", "5000"]);
+    cases.push(vec!["serve", "B.hR105_hse", "--quick", "--metrics-port", "0", "--cap", "nan"]);
+    for args in cases {
+        let out = vpp().args(&args).output().expect("vpp runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "vpp {args:?}: {err}");
+        assert!(err.contains("--cap must be in 100..=400 W"), "vpp {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "vpp {args:?} started a run or bound a port");
+    }
+}
+
+#[test]
 fn every_subcommand_prints_generated_usage_on_help() {
     let commands: &[&[&str]] = &[
         &["list"],

@@ -1,7 +1,6 @@
 //! Integration tests for the beyond-the-paper extensions: the MILC
-//! deployment step (§VI-B), thermal verification, the closed-loop budget
-//! controller, phase segmentation on real pipeline output, and
-//! periodicity-based runtime extrapolation (§VI-C).
+//! deployment step (§VI-B), thermal verification, phase segmentation on
+//! real pipeline output, straggler screening and the energy objectives.
 
 use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
 use vasp_power_profiles::core::{benchmarks, protocol};
@@ -9,7 +8,7 @@ use vasp_power_profiles::dft::{CostModel, ParallelLayout};
 use vasp_power_profiles::gpu::ThermalModel;
 use vasp_power_profiles::lqcd::{MilcWorkload, SolverParams};
 use vasp_power_profiles::stats::Segmenter;
-use vasp_power_profiles::telemetry::{Channel, Query, Sampler, Store};
+use vasp_power_profiles::telemetry::Sampler;
 
 fn milc_small() -> MilcWorkload {
     MilcWorkload {
@@ -92,52 +91,6 @@ fn segmentation_recovers_the_rpa_structure_from_pipeline_output() {
         low.mean_w
     );
     assert!(low.mean_w < 800.0);
-}
-
-#[test]
-fn periodicity_detects_milc_trajectory_structure() {
-    // MILC's per-MD-step force bursts give the timeline a measurable
-    // period — the §VI-C extrapolation hook.
-    let net = NetworkModel::perlmutter();
-    let cm = CostModel::calibrated();
-    let w = milc_small();
-    let plan = w.build_plan(&ParallelLayout::nodes(1), &net, &cm);
-    let res = execute(&plan, &JobSpec::new(1), &net);
-    let series = Sampler::ideal(0.5).sample(&res.node_traces[0].node);
-    let period = vasp_power_profiles::stats::dominant_period(
-        series.values(),
-        series.len() / 2,
-        0.15,
-    );
-    assert!(period.is_some(), "no periodicity found in the MILC timeline");
-    // One MD step ≈ runtime / (trajectories × md_steps).
-    let expect = res.runtime_s / (w.trajectories * w.md_steps) as f64 / 0.5;
-    let got = period.unwrap() as f64;
-    assert!(
-        got > 0.5 * expect && got < 2.5 * expect * w.md_steps as f64,
-        "period {got} samples vs per-step {expect}"
-    );
-}
-
-#[test]
-fn telemetry_queries_work_on_pipeline_output() {
-    let ctx = protocol::StudyContext::quick();
-    let m = protocol::measure(&benchmarks::pdo4(), &protocol::RunConfig::nodes(2), &ctx);
-    let store = Store::new();
-    store.ingest_job("pdo4", &m.result.node_traces, &Sampler::ideal(1.0));
-    let q = Query::new(&store);
-
-    let node_energy = q.job_energy_j("pdo4", Channel::Node).unwrap();
-    assert!(
-        (node_energy - m.energy_j).abs() / m.energy_j < 0.05,
-        "archived energy {node_energy} vs measured {}",
-        m.energy_j
-    );
-    let share = q.gpu_energy_share("pdo4").unwrap();
-    assert!((0.4..0.9).contains(&share), "gpu share {share}");
-    let stats = q.fleet_stats("pdo4", Channel::Node).unwrap();
-    assert_eq!(stats.nodes, 2);
-    assert!(stats.spread_w >= 0.0 && stats.spread_w < 150.0);
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! Cross-crate integration: the full measurement chain
-//! (plan → cluster execution → telemetry → store → statistics)
+//! (plan → cluster execution → telemetry → statistics)
 //! wired exactly as the experiments use it.
 
 use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
 use vasp_power_profiles::core::benchmarks;
 use vasp_power_profiles::dft::{build_plan, CostModel, ParallelLayout};
 use vasp_power_profiles::stats::PowerSummary;
-use vasp_power_profiles::telemetry::{Channel, Sampler, Store};
+use vasp_power_profiles::telemetry::Sampler;
 
 #[test]
-fn full_chain_from_benchmark_to_archive() {
+fn full_chain_from_benchmark_to_summary() {
     let bench = benchmarks::pdo2();
     let plan = build_plan(
         &bench.params(),
@@ -18,13 +18,9 @@ fn full_chain_from_benchmark_to_archive() {
     );
     let result = execute(&plan, &JobSpec::new(2), &NetworkModel::perlmutter());
 
-    // Archive it through the OMNI-like store.
-    let store = Store::new();
-    let stored = store.ingest_job("pdo2-run", &result.node_traces, &Sampler::ldms_production());
-    assert_eq!(stored, 14, "7 channels × 2 nodes");
-
-    // Query back and analyse with the paper's methodology.
-    let node0 = store.query("pdo2-run", 0, Channel::Node).unwrap();
+    // Sample node 0 at the production LDMS rate and analyse it with the
+    // paper's methodology.
+    let node0 = Sampler::ldms_production().sample(&result.node_traces[0].node);
     let summary = PowerSummary::from_samples(node0.values());
     assert!(summary.high_mode_w > 500.0 && summary.high_mode_w < 2350.0);
     assert!(summary.min_w >= 350.0, "never below idle-ish: {}", summary.min_w);

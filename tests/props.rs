@@ -292,21 +292,6 @@ properties! {
         }
     }
 
-    fn square_wave_period_is_recovered(rng) {
-        let period = usize_in(rng, 6, 30);
-        let cycles = usize_in(rng, 8, 20);
-        let n = period * cycles;
-        let data: Vec<f64> = (0..n)
-            .map(|i| if (i % period) < period / 2 { 600.0 } else { 1500.0 })
-            .collect();
-        let got = stats::dominant_period(&data, n / 2, 0.3);
-        assert!(got.is_some());
-        let got = got.unwrap();
-        // Allow the detector to land on the period or a harmonic.
-        let ok = (1..=3).any(|k| got.abs_diff(period * k) <= 1);
-        assert!(ok, "period {period}, detected {got}");
-    }
-
     fn bootstrap_ci_always_brackets_its_estimate(rng) {
         let data = vec_f64(rng, 10.0, 2000.0, 8, 80);
         let seed = rng.index(1000) as u64;
