@@ -4,9 +4,12 @@
 //! The `*_before_after` entries pit the superseded algorithms (kept in
 //! `vpp_sim::trace::reference` and `Kde::grid_exact`) against the shipping
 //! fast paths; their speedups land in the `comparisons` array of
-//! `BENCH_results.json`.
+//! `BENCH_results.json`. `serve_keepalive_healthz` times one HTTP round
+//! trip against the job service.
 
 use std::hint::black_box;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use vpp_sim::trace::reference;
 use vpp_sim::{EventQueue, PowerTrace, Rng};
 use vpp_stats::kde::{Bandwidth, Kde};
@@ -167,6 +170,55 @@ fn bench_lqcd_lowering(h: &mut Harness) {
     });
 }
 
+/// One `GET /healthz` on a kept-alive connection; redials when the
+/// server closes the connection at its per-connection request cap.
+fn healthz_round_trip(addr: SocketAddr, conn: &mut TcpStream) -> usize {
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n")
+        .expect("send request");
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break i + 4;
+        }
+        let n = conn.read(&mut chunk).expect("read response head");
+        assert!(n > 0, "server closed mid-response");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("framed response")
+        .parse()
+        .expect("numeric Content-Length");
+    while buf.len() < head_end + len {
+        let n = conn.read(&mut chunk).expect("read response body");
+        assert!(n > 0, "server closed mid-body");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    if head.contains("Connection: close") {
+        *conn = TcpStream::connect(addr).expect("redial");
+    }
+    len
+}
+
+fn bench_serve(h: &mut Harness) {
+    let server = vpp_substrate::serve::serve(0).expect("bind an ephemeral port");
+    let addr = server.addr();
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    // Linux starts a connection in quick-ACK mode; a reply stalled behind
+    // a delayed ACK only shows after the first exchanges, which smoke
+    // mode's few timed calls could otherwise all fall within.
+    for _ in 0..32 {
+        healthz_round_trip(addr, &mut conn);
+    }
+    h.bench("serve_keepalive_healthz", || {
+        healthz_round_trip(addr, &mut conn)
+    });
+    server.shutdown();
+}
+
 fn main() {
     let mut h = Harness::new("substrate");
     bench_trace_ops(&mut h);
@@ -176,5 +228,6 @@ fn main() {
     bench_plan_lowering(&mut h);
     bench_parsers(&mut h);
     bench_lqcd_lowering(&mut h);
+    bench_serve(&mut h);
     h.finish();
 }

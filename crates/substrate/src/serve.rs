@@ -38,13 +38,16 @@
 //!   requests, bytes read past one body carry over as the next request's
 //!   prefix (pipelining works), and the server closes when the client
 //!   sends `Connection: close`, after a protocol error (`431`/`413`/
-//!   `408` drain-and-close), or at the request cap. A connection that
-//!   goes idle mid-request is answered `408`; one that never starts a
-//!   request is closed quietly.
-//! * **TTL eviction** — terminal jobs older than [`ServeConfig::job_ttl`]
-//!   (default 15 min; `None` keeps forever) are swept out of the
-//!   registry, freeing their session ring buffers. Evicted ids answer
-//!   `410 Gone` (not `404`), and evictions count in
+//!   `408` drain-and-close), or at the request cap. A request must arrive
+//!   whole within the I/O timeout of its first byte, or it is answered
+//!   `408`, so a client dripping bytes cannot hold a worker; a
+//!   connection that never starts a request is closed quietly.
+//! * **Retention bound** — every job that turns terminal joins one queue
+//!   in finish order, and two triggers evict from its front: age past
+//!   [`ServeConfig::job_ttl`] (default 15 min; `None` disables it), and
+//!   more than 256 terminal jobs held at once. Eviction frees the jobs'
+//!   session ring buffers; running and queued jobs are never evicted.
+//!   Evicted ids answer `410 Gone` (not `404`), and evictions count in
 //!   `vpp_serve_jobs_evicted_total`.
 //! * **Backpressure** — the submission queue is bounded at
 //!   [`ServeConfig::max_queue`] (default 32); a full queue answers `429`
@@ -91,7 +94,10 @@
 //! ([`ServeHandle::shutdown`] joins the acceptor, both workers and every
 //! job-runner thread), and **stay std-only** (hand-rolled request
 //! parser with bounded head and body, fixed `Content-Length` responses
-//! framing each reply on the persistent connection).
+//! framing each reply on the persistent connection). Each reply leaves
+//! in one `write` on a `TCP_NODELAY` socket: a head written apart from
+//! its body would wait for the client's delayed ACK (~40 ms) under
+//! Nagle's algorithm on every kept-alive exchange.
 
 use crate::json::{self, Value};
 use crate::pool;
@@ -109,7 +115,9 @@ use std::time::{Duration, Instant};
 const WORKERS: usize = 2;
 /// How often an idle worker re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// Per-connection socket read/write timeout.
+/// How long a connection may idle before its next request, how long a
+/// request may take to arrive from its first byte, and the socket write
+/// timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
@@ -137,6 +145,10 @@ const DEFAULT_JOB_TTL: Duration = Duration::from_secs(15 * 60);
 /// Queued (not yet running) submissions unless [`ServeConfig::max_queue`]
 /// raises the bound; a full queue answers `429`.
 const DEFAULT_MAX_QUEUE: usize = 32;
+/// Terminal jobs held at once; past it the earliest-finished are evicted.
+/// 7.5x the default working set (2 sessions + 32 queued), and about
+/// 34 MB at the ~0.13 MB a finished small protocol job holds.
+const MAX_RETAINED_JOBS: usize = 256;
 /// Minimum spacing between TTL eviction sweeps.
 const SWEEP_INTERVAL_MS: u64 = 200;
 
@@ -260,36 +272,48 @@ struct JobEntry {
     finished_s: Option<f64>,
 }
 
-/// Session registry: live jobs, the admission queue, the runner threads
-/// that shutdown must join, and the ids of jobs the TTL sweep removed
-/// (kept so `GET /jobs/<id>` can answer `410 Gone` instead of `404`; an
-/// id costs 8 bytes against the ring buffers eviction frees).
+/// Session registry: live jobs, the admission queue, the terminal jobs
+/// in finish order (the eviction queue), and the runner threads that
+/// shutdown must join. Entries leave `jobs` only by eviction, so an id
+/// below `next_id` that `jobs` lacks was evicted.
 #[derive(Default)]
 struct Registry {
     next_id: u64,
     jobs: BTreeMap<u64, JobEntry>,
     queue: VecDeque<u64>,
+    finished: VecDeque<u64>,
     running: usize,
     runners: Vec<JoinHandle<()>>,
-    evicted: BTreeSet<u64>,
 }
 
 impl Registry {
     /// Job `id`'s entry, or the answer for a missing one: `410 Gone` if
-    /// the TTL sweep evicted it, `404` if it never existed.
+    /// it was evicted, `404` if it never existed.
     fn job(&mut self, id: u64) -> Result<&mut JobEntry, Response> {
-        let evicted = self.evicted.contains(&id);
+        let issued = id < self.next_id;
         self.jobs.get_mut(&id).ok_or_else(|| {
-            if evicted {
+            if issued {
                 Response::error(
                     410,
                     "Gone",
-                    format!("job {id} was evicted after its TTL; its results are no longer held\n"),
+                    format!("job {id} was evicted; its results are no longer held\n"),
                 )
             } else {
                 Response::error(404, "Not Found", format!("no such job: {id}\n"))
             }
         })
+    }
+
+    /// Evict the `n` earliest-finished jobs, counting them in `evicted`
+    /// under the caller's guard. The entries come back so the caller can
+    /// drop them after releasing the guard: a finished job is thousands
+    /// of small allocations.
+    fn evict_oldest(&mut self, n: usize, evicted: &AtomicU64) -> Vec<JobEntry> {
+        evicted.fetch_add(n as u64, Ordering::SeqCst);
+        self.finished
+            .drain(..n)
+            .map(|id| self.jobs.remove(&id).expect("finished ids are registered"))
+            .collect()
     }
 }
 
@@ -305,8 +329,9 @@ pub struct ServeConfig {
     /// Executes `POST /jobs` submissions; without one the job endpoints
     /// answer `503`.
     pub handler: Option<Arc<dyn JobHandler>>,
-    /// Evict terminal jobs this long after they finish (`None` keeps
-    /// them forever). Evicted ids answer `410 Gone`.
+    /// Evict terminal jobs this long after they finish (`None` disables
+    /// the TTL). Either way at most the 256 most recently finished jobs
+    /// are kept. Evicted ids answer `410 Gone`.
     pub job_ttl: Option<Duration>,
     /// Bound on queued (not yet running) submissions; a full queue
     /// answers `429` with `Retry-After`.
@@ -336,7 +361,8 @@ impl ServeConfig {
     }
 
     /// How long terminal jobs linger before the sweep evicts them and
-    /// frees their trace sessions; `None` keeps them forever.
+    /// frees their trace sessions; `None` disables the TTL, leaving only
+    /// the bound of 256 most recently finished jobs.
     #[must_use]
     pub fn job_ttl(mut self, ttl: Option<Duration>) -> ServeConfig {
         self.job_ttl = ttl;
@@ -602,8 +628,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // Accepted sockets inherit nothing useful from the non-blocking
     // listener on Linux, but make the contract explicit either way.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // Each reply is one write; nothing is gained by holding it back.
+    let _ = stream.set_nodelay(true);
     // HTTP/1.1 keep-alive (RFC 9112 §9.3): one socket serves requests
     // until the client asks to close, a protocol error forces a close,
     // or the per-connection cap is reached. Bytes read past one request's
@@ -621,8 +648,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
             Err(ReadError::TimedOutMidRequest) => {
-                // The peer went quiet with a request half-sent: say so
-                // (RFC 9110 §15.5.9) and close.
+                // The request did not arrive whole in time, from a peer
+                // gone quiet or one dripping bytes: say so (RFC 9110
+                // §15.5.9) and close.
                 crate::log_event!(
                     Warn,
                     "serve.http",
@@ -632,7 +660,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let resp = Response::error(
                     408,
                     "Request Timeout",
-                    "no complete request within the idle timeout\n",
+                    format!(
+                        "no complete request within {} s of its first byte\n",
+                        IO_TIMEOUT.as_secs()
+                    ),
                 );
                 let _ = write_response(&mut stream, &resp, false, false);
                 return;
@@ -673,7 +704,8 @@ enum ReadError {
     /// No byte of a new request arrived (fresh or kept-alive connection
     /// idled out, or the peer closed cleanly between requests).
     Idle,
-    /// The read timed out with a request partially received.
+    /// Part of a request arrived, but not all of it within
+    /// [`IO_TIMEOUT`] of its first byte.
     TimedOutMidRequest,
     /// Malformed beyond answering, or the peer vanished mid-request.
     Drop,
@@ -686,14 +718,29 @@ fn timeout_kind(e: &std::io::Error) -> bool {
     )
 }
 
+/// One `read` that waits no later than `deadline`; a deadline already
+/// past reads as a timeout.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(buf)
+}
+
 /// Read and parse one request from a (possibly kept-alive) connection.
 /// `carry` holds bytes already read past the previous request's body —
 /// the next request's prefix under pipelining — and is refilled with this
-/// request's surplus on success.
+/// request's surplus on success. The connection may idle [`IO_TIMEOUT`]
+/// before the request starts, and the whole request, head and body, must
+/// arrive within [`IO_TIMEOUT`] of its first byte: a per-read timeout
+/// alone would let a client sending a byte a second hold a worker forever.
 fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, ReadError> {
     let mut head = std::mem::take(carry);
     let mut chunk = [0u8; 1024];
     let mut oversized = false;
+    let mut deadline = Instant::now() + IO_TIMEOUT;
     let head_end = loop {
         if let Some(end) = head_terminator(&head) {
             break Some(end);
@@ -707,7 +754,7 @@ fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, 
                 break None;
             }
         }
-        match stream.read(&mut chunk) {
+        match read_by(stream, &mut chunk, deadline) {
             Ok(0) => {
                 if head.is_empty() {
                     // Clean close between requests — not an error.
@@ -715,7 +762,13 @@ fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, 
                 }
                 break None;
             }
-            Ok(n) => head.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                if head.is_empty() {
+                    // The request's clock starts at its first byte.
+                    deadline = Instant::now() + IO_TIMEOUT;
+                }
+                head.extend_from_slice(&chunk[..n]);
+            }
             Err(e) if timeout_kind(&e) => {
                 // An idle keep-alive connection is normal; a half-sent
                 // request deserves a 408 so the client knows what died.
@@ -777,7 +830,7 @@ fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, 
     // Bytes past the terminator already read are the body's prefix.
     let mut body = rest.to_vec();
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
+        match read_by(stream, &mut chunk, deadline) {
             Ok(0) => return Err(ReadError::Drop),
             Ok(n) => body.extend_from_slice(&chunk[..n]),
             Err(e) if timeout_kind(&e) => return Err(ReadError::TimedOutMidRequest),
@@ -884,7 +937,9 @@ fn cursor_page(
     }
 }
 
-/// Write `r`; for a HEAD request (`head_only`) the status line and
+/// Write `r` as one buffer in one `write_all`, so the status line,
+/// headers and body leave together rather than the body waiting on an
+/// ACK for the head. For a HEAD request (`head_only`) the status line and
 /// headers — including the `Content-Length` the GET would have — go out
 /// with no body, per RFC 9110 §9.3.2. `keep_alive` picks the
 /// `Connection` header: the fixed `Content-Length` frames each response,
@@ -895,7 +950,7 @@ fn write_response(
     head_only: bool,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         r.status,
         r.reason,
@@ -904,22 +959,21 @@ fn write_response(
         if keep_alive { "keep-alive" } else { "close" },
     );
     if let Some(allow) = r.allow {
-        head.push_str("Allow: ");
-        head.push_str(allow);
-        head.push_str("\r\n");
+        out.push_str("Allow: ");
+        out.push_str(allow);
+        out.push_str("\r\n");
     }
     for (name, value) in &r.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    out.push_str("\r\n");
     if !head_only {
-        stream.write_all(r.body.as_bytes())?;
+        out.push_str(&r.body);
     }
-    stream.flush()
+    stream.write_all(out.as_bytes())
 }
 
 /// Methods a known path answers; `None` means the path does not exist.
@@ -1126,12 +1180,14 @@ fn cancel_job(id: u64, shared: &Arc<Shared>) -> Response {
         JobState::Queued => {
             entry.state = JobState::Canceled;
             entry.cancel.cancel();
-            entry.finished_s = Some(shared.uptime_s());
             entry.error = Some("canceled before start".to_string());
-            let doc = job_status_value(id, entry);
             reg.queue.retain(|q| *q != id);
             shared.jobs_canceled.fetch_add(1, Ordering::SeqCst);
             crate::log_event!(Warn, "serve.jobs", "queued job canceled", job = id);
+            let evicted = retire(shared, &mut reg, id);
+            let doc = job_status_value(id, &reg.jobs[&id]);
+            drop(reg);
+            drop(evicted);
             Response::json(200, "OK", &doc)
         }
         JobState::Running => {
@@ -1146,10 +1202,28 @@ fn cancel_job(id: u64, shared: &Arc<Shared>) -> Response {
     }
 }
 
+/// Stamp job `id` terminal now and append it to the finish-ordered
+/// eviction queue. Called under the guard that set the terminal state,
+/// so the queue order is the `finished_s` order. Past
+/// [`MAX_RETAINED_JOBS`] the earliest-finished jobs are evicted at once;
+/// the count bound writes no `/logs` record (a warn per eviction would
+/// fill the warn partition within 30 s at full load), only the counter.
+/// Returns
+/// the evicted entries for the caller to drop after releasing the guard.
+fn retire(shared: &Shared, reg: &mut Registry, id: u64) -> Vec<JobEntry> {
+    reg.jobs
+        .get_mut(&id)
+        .expect("only registered jobs turn terminal")
+        .finished_s = Some(shared.uptime_s());
+    reg.finished.push_back(id);
+    let excess = reg.finished.len().saturating_sub(MAX_RETAINED_JOBS);
+    reg.evict_oldest(excess, &shared.jobs_evicted)
+}
+
 /// Evict terminal jobs older than the TTL, freeing their trace sessions.
 /// Cheap enough to call from the request path: a compare-exchange on the
 /// due time elects one sweeper per [`SWEEP_INTERVAL_MS`] window, and the
-/// sweep itself is one pass over a registry the TTL keeps bounded. Runs
+/// sweep pops only the expired front of the finish-ordered queue. Runs
 /// from both the worker idle loop (so eviction happens without traffic)
 /// and the request loop (so held-open keep-alive workers still sweep).
 fn maybe_sweep(shared: &Arc<Shared>) {
@@ -1167,28 +1241,21 @@ fn maybe_sweep(shared: &Arc<Shared>) {
     let ttl_s = ttl.as_secs_f64();
     let now_s = shared.uptime_s();
     let mut reg = lock(&shared.jobs);
-    let expired: Vec<u64> = reg
-        .jobs
+    let expired = reg
+        .finished
         .iter()
-        .filter(|(_, e)| {
-            e.state.terminal() && e.finished_s.is_some_and(|t| now_s - t >= ttl_s)
-        })
-        .map(|(id, _)| *id)
-        .collect();
-    let swept = expired.len();
-    for id in expired {
-        // Dropping the entry drops its LocalSession — the last reference
-        // to the job's ring buffer once any in-flight snapshot finishes.
-        reg.jobs.remove(&id);
-        reg.evicted.insert(id);
-        shared.jobs_evicted.fetch_add(1, Ordering::SeqCst);
-    }
-    if swept > 0 {
+        .take_while(|id| reg.jobs[id].finished_s.is_some_and(|t| now_s - t >= ttl_s))
+        .count();
+    // Dropping an entry drops its LocalSession — the last reference to
+    // the job's ring buffer once any in-flight snapshot finishes.
+    let evicted = reg.evict_oldest(expired, &shared.jobs_evicted);
+    drop(reg);
+    if !evicted.is_empty() {
         crate::log_event!(
             Warn,
             "serve.jobs",
             "TTL sweep evicted terminal jobs",
-            evicted = swept,
+            evicted = evicted.len(),
             ttl_s = ttl_s,
         );
     }
@@ -1222,17 +1289,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         .handler
         .clone()
         .expect("jobs only enqueue when a handler is installed");
-    let fetched = {
+    let (session, spec, cancel) = {
         let reg = lock(&shared.jobs);
-        reg.jobs
-            .get(&id)
-            .map(|e| (e.session.clone(), e.spec.clone(), e.cancel.clone()))
-    };
-    let Some((session, spec, cancel)) = fetched else {
-        // The entry vanished before the runner started; free the slot.
-        lock(&shared.jobs).running -= 1;
-        pump(shared);
-        return;
+        let e = reg.jobs.get(&id).expect("running jobs are never evicted");
+        (e.session.clone(), e.spec.clone(), e.cancel.clone())
     };
     // Bind the job's session to this thread and keep the whole workload
     // here (pool::serial): concurrency comes from running many jobs, not
@@ -1243,64 +1303,64 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         let _bind = session.bind();
         pool::serial(|| handler.run(&spec, &cancel))
     }));
-    {
+    let evicted = {
         let mut reg = lock(&shared.jobs);
-        if let Some(entry) = reg.jobs.get_mut(&id) {
-            entry.finished_s = Some(shared.uptime_s());
-            match outcome {
-                Ok(Ok(result)) => {
-                    // A completed result wins even when a cancel raced it.
-                    entry.state = JobState::Done;
-                    entry.result = Some(result);
-                    shared.jobs_completed.fetch_add(1, Ordering::SeqCst);
-                }
-                Ok(Err(message)) if cancel.is_canceled() => {
-                    // The handler bailed after DELETE set the token: the
-                    // cancel, not a workload fault, is what stopped it.
-                    entry.state = JobState::Canceled;
-                    crate::log_event!(
-                        Warn,
-                        "serve.jobs",
-                        "job canceled mid-run",
-                        job = id,
-                        reason = message.as_str(),
-                    );
-                    entry.error = Some(message);
-                    shared.jobs_canceled.fetch_add(1, Ordering::SeqCst);
-                }
-                Ok(Err(message)) => {
-                    entry.state = JobState::Failed;
-                    crate::log_event!(
-                        Error,
-                        "serve.jobs",
-                        "job failed",
-                        job = id,
-                        error = message.as_str(),
-                    );
-                    entry.error = Some(message);
-                    shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                }
-                Err(payload) => {
-                    let reason = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    entry.state = JobState::Failed;
-                    crate::log_event!(
-                        Error,
-                        "serve.jobs",
-                        "job handler panicked",
-                        job = id,
-                        reason = reason.as_str(),
-                    );
-                    entry.error = Some(format!("job handler panicked: {reason}"));
-                    shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                }
+        let entry = reg.jobs.get_mut(&id).expect("running jobs are never evicted");
+        match outcome {
+            Ok(Ok(result)) => {
+                // A completed result wins even when a cancel raced it.
+                entry.state = JobState::Done;
+                entry.result = Some(result);
+                shared.jobs_completed.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(Err(message)) if cancel.is_canceled() => {
+                // The handler bailed after DELETE set the token: the
+                // cancel, not a workload fault, is what stopped it.
+                entry.state = JobState::Canceled;
+                crate::log_event!(
+                    Warn,
+                    "serve.jobs",
+                    "job canceled mid-run",
+                    job = id,
+                    reason = message.as_str(),
+                );
+                entry.error = Some(message);
+                shared.jobs_canceled.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(Err(message)) => {
+                entry.state = JobState::Failed;
+                crate::log_event!(
+                    Error,
+                    "serve.jobs",
+                    "job failed",
+                    job = id,
+                    error = message.as_str(),
+                );
+                entry.error = Some(message);
+                shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
+            }
+            Err(payload) => {
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                entry.state = JobState::Failed;
+                crate::log_event!(
+                    Error,
+                    "serve.jobs",
+                    "job handler panicked",
+                    job = id,
+                    reason = reason.as_str(),
+                );
+                entry.error = Some(format!("job handler panicked: {reason}"));
+                shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
             }
         }
         reg.running -= 1;
-    }
+        retire(shared, &mut reg, id)
+    };
+    drop(evicted);
     pump(shared);
 }
 
@@ -1382,7 +1442,7 @@ fn jobs_list(shared: &Arc<Shared>) -> Response {
         ("queued".to_string(), Value::Num(reg.queue.len() as f64)),
         (
             "evicted".to_string(),
-            Value::Num(reg.evicted.len() as f64),
+            Value::Num(shared.jobs_evicted.load(Ordering::SeqCst) as f64),
         ),
         ("jobs".to_string(), Value::Arr(jobs)),
     ]);
@@ -2186,6 +2246,33 @@ mod tests {
         let mut rest = Vec::new();
         s.read_to_end(&mut rest).expect("read to EOF");
         assert!(rest.is_empty(), "bytes after the final response");
+        h.shutdown();
+    }
+
+    #[test]
+    fn keep_alive_replies_do_not_wait_for_a_delayed_ack() {
+        let h = serve(0).expect("bind ephemeral");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Linux starts a connection in quick-ACK mode, so only the later
+        // exchanges of the 40 would show a reply held back by Nagle until
+        // the client's delayed ACK (~40 ms) for an earlier segment.
+        let mut round_trips: Vec<Duration> = (0..40)
+            .map(|_| {
+                let t0 = Instant::now();
+                s.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                    .unwrap();
+                let (status, _, _) = read_framed(&mut s);
+                assert_eq!(status, 200);
+                t0.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median kept-alive round trip {median:?}: {round_trips:?}"
+        );
         h.shutdown();
     }
 

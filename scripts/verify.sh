@@ -85,6 +85,19 @@ awk -v s="$DES_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }' || {
 }
 echo "    des_throughput_1e6 speedup: ${DES_SPEEDUP}x"
 
+echo "==> serve floor: one kept-alive GET /healthz round trip <= 5 ms (measured ~0.04 ms; ~44 ms when a reply waits on Nagle + delayed ACK)"
+SERVE_RTT_NS=$(grep -A1 '"name": "serve_keepalive_healthz"' "$ROOT/BENCH_results.json" \
+    | sed -n 's/.*"median_ns": \([0-9.eE+-]*\).*/\1/p' | head -n 1)
+[ -n "$SERVE_RTT_NS" ] || {
+    echo "verify: FAIL — serve_keepalive_healthz entry missing from BENCH_results.json" >&2
+    exit 1
+}
+awk -v n="$SERVE_RTT_NS" 'BEGIN { exit !(n <= 5e6) }' || {
+    echo "verify: FAIL — serve_keepalive_healthz median ${SERVE_RTT_NS} ns above the 5 ms floor" >&2
+    exit 1
+}
+echo "    serve_keepalive_healthz median: ${SERVE_RTT_NS} ns"
+
 echo "==> campaign smoke (vpp campaign --jobs 2000 --seed 7; must finish inside 60 s)"
 CAMPAIGN_T0=$(date +%s)
 cargo run -q --release --offline --bin vpp -- campaign --jobs 2000 --seed 7 \

@@ -252,7 +252,8 @@ const COMMANDS: &[CommandSpec] = &[
             flag(
                 "job-ttl",
                 "DUR",
-                "evict terminal jobs after DUR (30s/15m/1h; 0 keeps forever; default 15m)",
+                "evict terminal jobs after DUR (30s/15m/1h; default 15m; 0 disables the TTL; \
+                 the 256 most recently finished jobs are kept)",
             ),
             FlagSpec {
                 name: "federate",

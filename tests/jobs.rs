@@ -8,7 +8,9 @@
 //! - `GET /jobs/<id>/trace?after=SEQ` delivers each event exactly once
 //!   across chunks,
 //! - a federated instance's `/metrics` parses as strict Prometheus text
-//!   and carries both peers' series under `peer="..."` labels.
+//!   and carries both peers' series under `peer="..."` labels,
+//! - the registry keeps at most 256 terminal jobs, evicting the earliest
+//!   finisher first, not the lowest id.
 //!
 //! Job runner threads are named `vpp-serve` like the acceptor/workers,
 //! so the leak accounting here covers them too. Tests serialize on a
@@ -65,6 +67,19 @@ fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
         .filter_map(|l| l.split_once(": "))
         .find(|(n, _)| *n == name)
         .map(|(_, v)| v)
+}
+
+/// The service keeps at most this many terminal jobs.
+const MAX_RETAINED_JOBS: usize = 256;
+
+/// One counter's value from a `/metrics` exposition.
+fn counter(metrics: &str, name: &str) -> f64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("exposition carries {name}"))
+        .parse()
+        .expect("numeric sample")
 }
 
 /// POST a job spec and return its id from the 201 body.
@@ -599,26 +614,18 @@ fn one_keep_alive_connection_covers_submit_poll_cancel_and_eviction() {
     }
     let (status, _, body) = c.get("/metrics");
     assert_eq!(status, 200);
-    let evicted = body
-        .lines()
-        .find_map(|l| l.strip_prefix("vpp_serve_jobs_evicted_total "))
-        .expect("exposition carries vpp_serve_jobs_evicted_total")
-        .parse::<f64>()
-        .unwrap();
-    assert!(evicted >= 1.0, "{body}");
+    assert!(counter(&body, "vpp_serve_jobs_evicted_total") >= 1.0, "{body}");
     // The pre-rename `vpp_serve_jobs_evicted` alias has completed its
     // one-release deprecation window: only the `_total` name is exposed.
     assert!(
         !body.lines().any(|l| l.starts_with("vpp_serve_jobs_evicted ")),
         "removed alias vpp_serve_jobs_evicted resurfaced"
     );
-    let canceled = body
-        .lines()
-        .find_map(|l| l.strip_prefix("vpp_serve_jobs_canceled_total "))
-        .expect("exposition carries vpp_serve_jobs_canceled_total")
-        .parse::<f64>()
-        .unwrap();
-    assert_eq!(canceled, 2.0, "one queued + one running cancel");
+    assert_eq!(
+        counter(&body, "vpp_serve_jobs_canceled_total"),
+        2.0,
+        "one queued + one running cancel"
+    );
 
     h.shutdown();
     assert_eq!(serve_threads_settled(), 0, "job runner threads survived shutdown");
@@ -733,7 +740,8 @@ fn soak_500_short_jobs_with_short_ttl_keeps_the_registry_bounded() {
             panic!("listing has a jobs array: {body}");
         };
         // Bounded at every poll: live entries never exceed the working
-        // set (sessions + queue) plus terminal jobs younger than the TTL.
+        // set (sessions + queue) plus the retained terminal jobs.
+        assert!(jobs.len() <= 1 + 8 + MAX_RETAINED_JOBS, "{} entries", jobs.len());
         if jobs.is_empty() {
             break;
         }
@@ -747,20 +755,95 @@ fn soak_500_short_jobs_with_short_ttl_keeps_the_registry_bounded() {
 
     let (status, _, body) = c.get("/metrics");
     assert_eq!(status, 200);
-    let evicted = body
-        .lines()
-        .find_map(|l| l.strip_prefix("vpp_serve_jobs_evicted_total "))
-        .expect("exposition carries vpp_serve_jobs_evicted_total")
-        .parse::<f64>()
-        .unwrap();
-    assert_eq!(evicted, JOBS as f64, "every accepted job must age out");
-    let submitted = body
-        .lines()
-        .find_map(|l| l.strip_prefix("vpp_serve_jobs_submitted_total "))
-        .expect("exposition carries vpp_serve_jobs_submitted_total")
-        .parse::<f64>()
-        .unwrap();
-    assert_eq!(submitted, JOBS as f64, "429s must not count as submissions");
+    assert_eq!(
+        counter(&body, "vpp_serve_jobs_evicted_total"),
+        JOBS as f64,
+        "every accepted job is evicted, by the count bound or the TTL"
+    );
+    assert_eq!(
+        counter(&body, "vpp_serve_jobs_submitted_total"),
+        JOBS as f64,
+        "429s must not count as submissions"
+    );
+
+    h.shutdown();
+    assert_eq!(serve_threads_settled(), 0, "job runner threads survived shutdown");
+}
+
+#[test]
+fn retention_bound_evicts_in_finish_order_not_id_order() {
+    let _guard = locked();
+    const QUICK: usize = 300;
+    let gate = Arc::new(Barrier::new(1)); // unused: no rendezvous jobs here
+    let h = serve_with(
+        ServeConfig::new(0)
+            .max_sessions(2)
+            .job_ttl(None)
+            .handler(Arc::new(TagHandler { gate })),
+    )
+    .expect("bind ephemeral");
+    let addr = h.addr();
+    let id_of = |body: &str| {
+        json::parse(body).unwrap().get("id").and_then(Value::as_f64).unwrap() as u64
+    };
+
+    // The parked job takes the lowest id and one session; the quick jobs
+    // run one at a time on the other, so they finish in id order.
+    let parked = submit(addr, r#"{"tag": "alpha", "await_cancel": true}"#);
+    let mut quick = Vec::with_capacity(QUICK);
+    while quick.len() < QUICK {
+        let (status, _, body) = request(addr, "POST", "/jobs", r#"{"tag": "beta", "events": 2}"#);
+        match status {
+            201 => quick.push(id_of(&body)),
+            429 => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("submission answered {other}: {body}"),
+        }
+    }
+    assert!(quick.iter().all(|&id| id > parked));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, _, metrics) = get(addr, "/metrics");
+        if counter(&metrics, "vpp_serve_jobs_completed_total") == QUICK as f64 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "quick jobs never all finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The parked job finishes last, pushing the total one past the bound.
+    let (status, _, body) = request(addr, "DELETE", &format!("/jobs/{parked}"), "");
+    assert_eq!(status, 202, "{body}");
+    let parked_doc = await_state(addr, parked, "canceled");
+    assert!(parked_doc.get("finished_s").is_some(), "{parked_doc:?}");
+
+    // The earliest finishers went, in finish order; the rest are held.
+    let evicted = QUICK + 1 - MAX_RETAINED_JOBS;
+    for (i, id) in quick.iter().enumerate() {
+        let (status, _, body) = get(addr, &format!("/jobs/{id}"));
+        if i < evicted {
+            assert_eq!(status, 410, "quick job #{i} (id {id}) finished early: {body}");
+            assert!(body.contains("\"error\": \"Gone\""), "{body}");
+        } else {
+            assert_eq!(status, 200, "quick job #{i} (id {id}) is among the latest: {body}");
+        }
+    }
+    let (status, _, listing) = get(addr, "/jobs");
+    assert_eq!(status, 200);
+    let doc = json::parse(&listing).unwrap();
+    let Some(Value::Arr(jobs)) = doc.get("jobs") else {
+        panic!("listing has a jobs array: {listing}");
+    };
+    assert_eq!(jobs.len(), MAX_RETAINED_JOBS, "{listing}");
+    assert!(
+        jobs.iter().all(|j| matches!(
+            j.get("state").and_then(Value::as_str),
+            Some("done" | "canceled")
+        )),
+        "{listing}"
+    );
+    assert_eq!(doc.get("evicted").and_then(Value::as_f64), Some(evicted as f64));
+    let (_, _, metrics) = get(addr, "/metrics");
+    assert_eq!(counter(&metrics, "vpp_serve_jobs_evicted_total"), evicted as f64);
 
     h.shutdown();
     assert_eq!(serve_threads_settled(), 0, "job runner threads survived shutdown");

@@ -10,7 +10,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vasp_power_profiles::substrate::json::{self, Value};
@@ -523,6 +524,90 @@ fn logs_cursor_is_exactly_once_under_concurrent_writers() {
     );
 
     h.shutdown();
+}
+
+#[test]
+fn slow_drip_clients_get_408_and_cannot_starve_the_workers() {
+    let _guard = locked();
+    assert_eq!(serve_threads_settled(), 0, "no server threads before the test");
+    let h = serve(0).expect("bind ephemeral");
+    let addr = h.addr();
+    // The acceptor plus its two workers, once the scope has spawned them.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while serve_threads() < 3 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(serve_threads(), 3, "acceptor + 2 workers");
+
+    // Sample the server's thread count until the test is done with it.
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            while !stop.load(Ordering::SeqCst) {
+                let n = serve_threads();
+                (lo, hi) = (lo.min(n), hi.max(n));
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            (lo, hi)
+        })
+    };
+
+    // Two clients each drip a request head at one byte per 250 ms for up
+    // to 8 s: every read sees progress, so only a deadline for the whole
+    // request frees the two workers they occupy.
+    let start = Instant::now();
+    let drips: Vec<_> = (0..2)
+        .map(|_| {
+            let mut writer = TcpStream::connect(addr).expect("connect");
+            let mut reader = writer.try_clone().expect("clone the socket");
+            reader.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+            let dripping = std::thread::spawn(move || {
+                for &byte in b"GET /healthz HTTP/1.1\r\nHost: drip\r\n".iter().cycle() {
+                    if start.elapsed() > Duration::from_secs(8)
+                        || writer.write_all(&[byte]).is_err()
+                    {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(250));
+                }
+            });
+            let answered = std::thread::spawn(move || {
+                let mut raw = Vec::new();
+                let _ = reader.read_to_end(&mut raw);
+                (start.elapsed(), String::from_utf8_lossy(&raw).to_string())
+            });
+            (dripping, answered)
+        })
+        .collect();
+
+    // A third client arrives while both workers hold a dripper.
+    std::thread::sleep(Duration::from_millis(300));
+    let t0 = Instant::now();
+    let (status, _, body) = get(addr, "/healthz");
+    let waited = t0.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        waited < Duration::from_secs(5),
+        "/healthz waited {waited:?} behind two slow-drip clients"
+    );
+
+    for (dripping, answered) in drips {
+        let (elapsed, raw) = answered.join().expect("reader thread");
+        dripping.join().expect("dripping thread");
+        assert!(raw.starts_with("HTTP/1.1 408"), "{raw}");
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "408 took {elapsed:?} from the first dripped byte"
+        );
+    }
+    stop.store(true, Ordering::SeqCst);
+    let threads = sampler.join().expect("sampler thread");
+    assert_eq!(threads, (3, 3), "acceptor + 2 workers throughout (min, max)");
+
+    h.shutdown();
+    assert_eq!(serve_threads_settled(), 0, "vpp-serve threads survived shutdown");
 }
 
 #[test]
