@@ -1,25 +1,25 @@
 //! Flight recorder — per-benchmark performance baselines, regression
-//! triage, and the per-phase energy table (DESIGN.md §3.5).
+//! triage, and the per-phase energy table (DESIGN.md §3.6).
 //!
-//! A *baseline* is captured by running the §III-B protocol under a trace
-//! session and rolling the event log up into per-span-name totals: the
-//! whole-run [`TraceAggregate`](trace::TraceAggregate) plus one aggregate per `protocol.repeat`
-//! subtree. The recipe is pinned ([`baseline_ctx`] / [`baseline_cfg`]) so
-//! a stored baseline and a later re-run are comparable sample-for-sample;
-//! the simulator is deterministic per seed, so an unperturbed re-run
+//! A *baseline* is the §III-B protocol run through
+//! [`TraceBaseline::capture`]: the whole-run
+//! [`TraceAggregate`](trace::TraceAggregate) plus one aggregate per
+//! `protocol.repeat` subtree. The recipe is pinned ([`baseline_ctx`] /
+//! [`baseline_cfg`]) so a stored baseline and a later re-run are
+//! comparable sample-for-sample. The simulator is deterministic per seed
+//! and the capture runs the repeats serially, so an unperturbed re-run
 //! reproduces the baseline's sim-time and energy aggregates exactly, and
 //! any paired delta `vpp_stats::trace_diff` flags is a real change in the
-//! modelled execution, not noise.
+//! modelled execution, not noise. `vpp trace accept` stores what
+//! [`capture`] returns; `vpp trace diff` compares a fresh [`capture`]
+//! against it.
 
 use crate::benchmarks::{suite, Benchmark};
 use crate::experiments::{f, render_table};
-use crate::protocol::{self, Measured, RunConfig, StudyContext};
+use crate::protocol::{self, RunConfig, StudyContext};
 use vpp_cluster::{execute, JobSpec};
 use vpp_substrate::bench::TraceBaseline;
-use vpp_substrate::{pool, span, trace};
-
-/// Bench-report group (`BENCH_results.json`) holding the stored baselines.
-pub const BASELINE_GROUP: &str = "trace_baselines";
+use vpp_substrate::{span, trace};
 
 /// Span whose subtrees become the per-repeat baseline samples.
 pub const SAMPLE_SPAN: &str = "protocol.repeat";
@@ -28,8 +28,7 @@ pub const SAMPLE_SPAN: &str = "protocol.repeat";
 /// cheap enough to re-run on every triage.
 pub const BASELINE_REPEATS: usize = 3;
 
-/// Event budget for flight-recorder sessions. Admission past it drops
-/// events, which [`capture`] treats as a hard error.
+/// Event budget of the CLI's trace sessions and of [`phase_energy`]'s.
 pub const SESSION_CAPACITY: usize = 1 << 23;
 
 /// The baseline study context: paper settings at [`BASELINE_REPEATS`].
@@ -47,32 +46,13 @@ pub fn baseline_cfg() -> RunConfig {
     RunConfig::nodes(1)
 }
 
-/// Measure `bench` under a trace session and roll the report into a
-/// [`TraceBaseline`] — the re-run side of `vpp trace diff`, and the same
-/// rollup `Harness::bench_traced` stores.
-///
-/// The session is bound to the calling thread, which also runs the
-/// repeats ([`pool::serial`]), as a service job does.
-///
-/// # Panics
-/// If the session overflows [`SESSION_CAPACITY`]: a truncated baseline
-/// would silently bias every later comparison.
+/// Run the §III-B protocol for `bench` under [`TraceBaseline::capture`],
+/// one sample per [`SAMPLE_SPAN`].
 #[must_use]
-pub fn capture(bench: &Benchmark, cfg: &RunConfig, ctx: &StudyContext) -> (Measured, TraceBaseline) {
-    let session = trace::session(SESSION_CAPACITY);
-    let m = pool::serial(|| protocol::measure(bench, cfg, ctx));
-    let report = session.finish();
-    assert_eq!(
-        report.dropped, 0,
-        "flight-recorder session for '{}' overflowed its event budget",
-        m.name
-    );
-    let baseline = TraceBaseline {
-        aggregate: report.aggregate(),
-        samples: report.aggregates_under(SAMPLE_SPAN),
-        tolerances: std::collections::BTreeMap::new(),
-    };
-    (m, baseline)
+pub fn capture(bench: &Benchmark, cfg: &RunConfig, ctx: &StudyContext) -> TraceBaseline {
+    TraceBaseline::capture(SAMPLE_SPAN, || {
+        let _ = protocol::measure(bench, cfg, ctx);
+    })
 }
 
 /// One row of the per-phase energy-to-solution table.
@@ -199,8 +179,7 @@ mod tests {
             repeats: 2,
             ..StudyContext::paper()
         };
-        let (m, base) = capture(&bench, &baseline_cfg(), &ctx);
-        assert!(m.runtime_s > 0.0);
+        let base = capture(&bench, &baseline_cfg(), &ctx);
         assert_eq!(base.samples.len(), 2, "one sample per protocol repeat");
         let rep = base.aggregate.span(SAMPLE_SPAN).expect("repeat span aggregated");
         assert_eq!(rep.count, 2);
@@ -222,8 +201,8 @@ mod tests {
             repeats: 2,
             ..StudyContext::paper()
         };
-        let (_, a) = capture(&bench, &baseline_cfg(), &ctx);
-        let (_, b) = capture(&bench, &baseline_cfg(), &ctx);
+        let a = capture(&bench, &baseline_cfg(), &ctx);
+        let b = capture(&bench, &baseline_cfg(), &ctx);
         for (sa, sb) in a.samples.iter().zip(&b.samples) {
             for (xa, xb) in sa.spans.iter().zip(&sb.spans) {
                 assert_eq!(xa.name, xb.name);

@@ -24,17 +24,15 @@
 //!   TCO objective in dollars, and slowdown distributions (raw per-job
 //!   samples retained for [`CampaignOutcome::slowdown_violin`]).
 //! * The pinned trace-baseline recipe ([`baseline_spec`] /
-//!   [`baseline_body`] / [`capture_baseline`]) behind `vpp trace diff
-//!   campaign`, and the `repro campaign_contention` section
-//!   ([`contention_report`]).
+//!   [`baseline_body`]), which `vpp trace accept campaign` and `vpp trace
+//!   diff campaign` capture with `TraceBaseline::capture`, and the `repro
+//!   campaign_contention` section ([`contention_report`]).
 
 use crate::policy::{CapPolicy, ClassAware, SweetSpot, TcoAware, TcoPrices, Uncapped};
 use crate::scheduler::{BatchJob, CapResponse, ScheduleOutcome, Scheduler, WorkloadClass};
 use crate::site::{self, SiteBudget, SiteRun};
-use std::collections::BTreeMap;
 use std::fmt;
 use vpp_stats::ViolinStats;
-use vpp_substrate::bench::TraceBaseline;
 use vpp_substrate::json::Value;
 use vpp_substrate::{par_map, span, trace, Rng};
 
@@ -490,8 +488,9 @@ pub fn baseline_policies() -> [(&'static str, &'static dyn CapPolicy); 3] {
 
 /// The baseline body: [`BASELINE_REPEATS`] wrapped `campaign.run` spans,
 /// each covering the policy trio with per-policy sim-time and energy
-/// fields. Runs under whatever trace session the caller holds — the
-/// bench harness (`bench_traced`) and [`capture_baseline`] both use it.
+/// fields. Runs under whatever trace session the caller holds; under
+/// `TraceBaseline::capture` the partitions run inline, so each repeat's
+/// `campaign.partition` spans nest under its `campaign.run`.
 pub fn baseline_body() {
     let spec = baseline_spec();
     for rep in 0..BASELINE_REPEATS as u64 {
@@ -503,28 +502,6 @@ pub fn baseline_body() {
             g.record("sim_t1", out.merged.makespan_s);
             g.record("energy_j", out.total_energy_j);
         }
-    }
-}
-
-/// Capture the pinned recipe under a fresh trace session and roll it into
-/// a [`TraceBaseline`] — the re-run side of `vpp trace diff campaign`.
-///
-/// # Panics
-/// If the session overflows `capacity` (a truncated baseline would bias
-/// every later comparison).
-#[must_use]
-pub fn capture_baseline(capacity: usize) -> TraceBaseline {
-    let session = trace::session(capacity);
-    baseline_body();
-    let report = session.finish();
-    assert_eq!(
-        report.dropped, 0,
-        "campaign baseline session overflowed its event budget"
-    );
-    TraceBaseline {
-        aggregate: report.aggregate(),
-        samples: report.aggregates_under(SAMPLE_SPAN),
-        tolerances: BTreeMap::new(),
     }
 }
 
@@ -730,6 +707,7 @@ impl ContentionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpp_substrate::bench::TraceBaseline;
 
     #[test]
     fn generation_is_seed_deterministic_and_heterogeneous() {
@@ -865,15 +843,19 @@ mod tests {
 
     #[test]
     fn baseline_capture_yields_one_sample_per_repeat() {
-        let base = capture_baseline(1 << 22);
+        let base = TraceBaseline::capture(SAMPLE_SPAN, baseline_body);
         assert_eq!(base.samples.len(), BASELINE_REPEATS);
         let runs = base.aggregate.span(SAMPLE_SPAN).expect("campaign.run aggregated");
         assert_eq!(runs.count, BASELINE_REPEATS as u64);
+        let policies = baseline_policies().len() as u64;
         for s in &base.samples {
             let pol = s.span("campaign.policy").expect("policy spans nested");
-            assert_eq!(pol.count, baseline_policies().len() as u64);
+            assert_eq!(pol.count, policies);
             assert!(pol.sim_s > 0.0, "policy spans carry sim time");
             assert!(pol.energy_j > 0.0, "policy spans carry energy");
+            // Every policy's partitions run inside the repeat's subtree.
+            let parts = s.span("campaign.partition").expect("partition spans nested");
+            assert_eq!(parts.count, policies * baseline_spec().partitions as u64);
         }
         assert!(
             base.aggregate.counters.contains_key("des.scheduled"),

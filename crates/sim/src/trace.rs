@@ -17,7 +17,7 @@
 //!   O(log n) prefix difference (previously an O(segments-in-window) scan
 //!   behind a binary search);
 //! * [`PowerTrace::window_means`] — one forward sweep, O(segments +
-//!   windows), the primitive behind telemetry sampling and [`coarsen`];
+//!   windows), the primitive behind telemetry sampling;
 //! * [`PowerTrace::sum`] — a k-way merge over per-trace cursors,
 //!   O(B·log k) for B total breakpoints (previously O(B·k·log s): a sorted
 //!   cut union with a per-cut, per-trace binary-search lookup).
@@ -25,8 +25,6 @@
 //! The superseded quadratic algorithms live on in [`reference`](mod@reference) as the
 //! oracle for equivalence tests and the "before" side of the bench
 //! harness's before/after comparisons.
-//!
-//! [`coarsen`]: PowerTrace::coarsen
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -469,47 +467,6 @@ impl PowerTrace {
         out
     }
 
-    /// Re-quantise onto windows of `dt` seconds, replacing each window with
-    /// its mean power. Energy is conserved exactly (up to rounding); detail
-    /// finer than `dt` is lost.
-    ///
-    /// One forward sweep shared with [`window_means`](Self::window_means):
-    /// O(segments + windows). Window boundaries are `start + i·dt`
-    /// (multiplicative), so long traces do not accumulate drift.
-    ///
-    /// # Panics
-    /// If `dt` is not positive.
-    #[must_use]
-    pub fn coarsen(&self, dt: f64) -> PowerTrace {
-        assert!(dt > 0.0 && dt.is_finite(), "bad window {dt}");
-        let mut out = PowerTrace::new(self.start);
-        if self.is_empty() {
-            return out;
-        }
-        let end = self.end();
-        let mut seg = 0usize;
-        let mut cursor = self.start;
-        let mut w_start = self.start;
-        let mut i = 0usize;
-        while w_start < end {
-            let w_end = (self.start + (i + 1) as f64 * dt).min(end);
-            let mut acc = 0.0;
-            while seg < self.ends.len() && self.ends[seg] <= w_end {
-                acc += (self.ends[seg] - cursor) * self.watts[seg];
-                cursor = self.ends[seg];
-                seg += 1;
-            }
-            if seg < self.ends.len() && cursor < w_end {
-                acc += (w_end - cursor) * self.watts[seg];
-                cursor = w_end;
-            }
-            out.push(w_end - w_start, acc / (w_end - w_start));
-            w_start = w_end;
-            i += 1;
-        }
-        out
-    }
-
     /// Instantaneous point samples every `dt` seconds starting at
     /// `start + dt/2` (midpoint sampling). Used to emulate very fast polling.
     #[must_use]
@@ -587,31 +544,6 @@ pub mod reference {
             first += 1;
         }
         acc
-    }
-
-    /// The original [`PowerTrace::coarsen`] algorithm: one independent
-    /// `mean_power` query per window (binary search + segment walk each
-    /// time) instead of a single shared sweep. Window boundaries are
-    /// computed multiplicatively, matching the production path, so the two
-    /// differ only in algorithm.
-    #[must_use]
-    pub fn coarsen_per_window(trace: &PowerTrace, dt: f64) -> PowerTrace {
-        assert!(dt > 0.0 && dt.is_finite(), "bad window {dt}");
-        let mut out = PowerTrace::new(trace.start);
-        if trace.is_empty() {
-            return out;
-        }
-        let mut t = trace.start;
-        let end = trace.end();
-        let mut i = 0usize;
-        while t < end {
-            let hi = (trace.start + (i + 1) as f64 * dt).min(end);
-            let mean = energy_between_scan(trace, t, hi) / (hi - t);
-            out.push(hi - t, mean);
-            t = hi;
-            i += 1;
-        }
-        out
     }
 
     /// The original telemetry sampling loop: accumulate `t += dt` and issue
@@ -875,50 +807,6 @@ mod tests {
         assert!(close(means[10], 100.0));
         assert!(close(means[11], 100.0));
         assert_eq!(means[14], 0.0, "after the domain");
-    }
-
-    #[test]
-    fn coarsen_conserves_energy_and_bounds_segments() {
-        let mut t = PowerTrace::new(0.0);
-        for i in 0..10_000 {
-            t.push(0.01, if i % 2 == 0 { 100.0 } else { 350.0 });
-        }
-        let c = t.coarsen(2.0);
-        assert!(c.len() <= (t.duration() / 2.0).ceil() as usize);
-        assert!((c.energy() - t.energy()).abs() < 1e-6 * t.energy());
-        assert!((c.duration() - t.duration()).abs() < 1e-9);
-        // Fast alternation collapses to the mean level.
-        assert!((c.power_at(50.0) - 225.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn coarsen_matches_per_window_reference() {
-        let mut rng = crate::Rng::new(77);
-        let t = PowerTrace::from_segments(
-            1.0,
-            (0..600).map(|_| (rng.uniform(0.01, 2.0), rng.uniform(0.0, 2000.0))),
-        );
-        for dt in [0.05, 0.3, 2.0, 1000.0] {
-            let fast = t.coarsen(dt);
-            let slow = reference::coarsen_per_window(&t, dt);
-            assert_eq!(fast.len(), slow.len(), "dt={dt}");
-            assert!(close(fast.energy(), slow.energy()), "dt={dt}");
-            for (f, s) in fast.segments().zip(slow.segments()) {
-                assert!((f.watts - s.watts).abs() <= 1e-9 * (1.0 + s.watts.abs()));
-                assert!((f.t1 - s.t1).abs() <= 1e-6, "dt={dt}");
-            }
-        }
-    }
-
-    #[test]
-    fn coarsen_of_empty_trace_is_empty() {
-        assert!(PowerTrace::new(3.0).coarsen(1.0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "bad window")]
-    fn coarsen_rejects_zero_window() {
-        let _ = PowerTrace::from_segments(0.0, [(1.0, 1.0)]).coarsen(0.0);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! representative run. For methodological completeness we provide bootstrap
 //! confidence intervals: resample the power samples with replacement,
 //! recompute the statistic, and take percentile bounds. The deterministic
-//! resampler keeps results reproducible.
-
-use crate::modes::high_power_mode;
+//! resampler keeps results reproducible. `vpp trace diff` bootstraps its
+//! per-repeat paired deltas through [`bootstrap_ci`].
 
 /// A percentile bootstrap confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,16 +85,16 @@ pub fn bootstrap_ci(
     }
 }
 
-/// 95 % CI for the high power mode of a power sample.
-#[must_use]
-pub fn high_power_mode_ci(data: &[f64], resamples: usize, seed: u64) -> ConfidenceInterval {
-    bootstrap_ci(data, resamples, 0.95, seed, |xs| high_power_mode(xs).x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::describe::mean;
+    use crate::modes::high_power_mode;
+
+    /// 95 % CI for the high power mode of a power sample.
+    fn mode_ci(data: &[f64], resamples: usize, seed: u64) -> ConfidenceInterval {
+        bootstrap_ci(data, resamples, 0.95, seed, |xs| high_power_mode(xs).x)
+    }
 
     fn bimodal() -> Vec<f64> {
         let mut v: Vec<f64> = (0..400).map(|i| 700.0 + (i % 40) as f64).collect();
@@ -106,7 +105,7 @@ mod tests {
     #[test]
     fn ci_brackets_the_estimate() {
         let data = bimodal();
-        let ci = high_power_mode_ci(&data, 200, 1);
+        let ci = mode_ci(&data, 200, 1);
         assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi, "{ci:?}");
         assert!(ci.contains(ci.estimate));
         assert!(ci.width() < 120.0, "mode CI should be tight: {ci:?}");
@@ -116,10 +115,10 @@ mod tests {
     #[test]
     fn ci_is_deterministic_per_seed() {
         let data = bimodal();
-        let a = high_power_mode_ci(&data, 100, 7);
-        let b = high_power_mode_ci(&data, 100, 7);
+        let a = mode_ci(&data, 100, 7);
+        let b = mode_ci(&data, 100, 7);
         assert_eq!(a, b);
-        let c = high_power_mode_ci(&data, 100, 8);
+        let c = mode_ci(&data, 100, 8);
         assert!(a != c || a.width() == 0.0);
     }
 

@@ -67,44 +67,6 @@ pub fn best_point(points: &[OperatingPoint], objective: Objective) -> OperatingP
         .expect("non-empty")
 }
 
-/// The Pareto-optimal subset of operating points under (runtime, energy):
-/// a point survives if no other point is at least as fast *and* at least
-/// as frugal (with one strict). Returned sorted by runtime.
-///
-/// # Panics
-/// If `points` is empty or contains non-positive values.
-#[must_use]
-pub fn pareto_front(points: &[OperatingPoint]) -> Vec<OperatingPoint> {
-    assert!(!points.is_empty(), "no operating points");
-    let mut front: Vec<OperatingPoint> = points
-        .iter()
-        .filter(|p| {
-            !points.iter().any(|q| {
-                q.runtime_s <= p.runtime_s
-                    && q.energy_j <= p.energy_j
-                    && (q.runtime_s < p.runtime_s || q.energy_j < p.energy_j)
-            })
-        })
-        .copied()
-        .collect();
-    front.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
-    front.dedup_by(|a, b| a.runtime_s == b.runtime_s && a.energy_j == b.energy_j);
-    front
-}
-
-/// Relative regret of choosing `chosen` instead of the optimum under
-/// `objective` (0 = optimal).
-#[must_use]
-pub fn regret(points: &[OperatingPoint], chosen: &OperatingPoint, objective: Objective) -> f64 {
-    let best = best_point(points, objective);
-    let score = |p: &OperatingPoint| match objective {
-        Objective::Energy => p.energy_j,
-        Objective::Edp => p.edp(),
-        Objective::Ed2p => p.ed2p(),
-    };
-    score(chosen) / score(&best) - 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,38 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn regret_is_zero_at_the_optimum_and_positive_elsewhere() {
-        let pts = hungry();
-        let best = best_point(&pts, Objective::Edp);
-        assert_eq!(regret(&pts, &best, Objective::Edp), 0.0);
-        let worst = pts[3];
-        assert!(regret(&pts, &worst, Objective::Edp) > 0.5);
-    }
-
-    #[test]
     fn edp_math() {
         let p = OperatingPoint { cap_w: 200.0, energy_j: 10.0, runtime_s: 3.0 };
         assert_eq!(p.edp(), 30.0);
         assert_eq!(p.ed2p(), 90.0);
-    }
-
-    #[test]
-    fn pareto_front_drops_dominated_points() {
-        let mut pts = hungry();
-        // A dominated point: slower AND more energy than the 200 W point.
-        pts.push(OperatingPoint { cap_w: 150.0, energy_j: 1.7e6, runtime_s: 1500.0 });
-        let front = pareto_front(&pts);
-        assert!(front
-            .iter()
-            .all(|p| !(p.cap_w == 150.0)), "dominated point survived: {front:?}");
-        // The front is runtime-sorted and energy-decreasing.
-        for w in front.windows(2) {
-            assert!(w[0].runtime_s <= w[1].runtime_s);
-            assert!(w[0].energy_j >= w[1].energy_j);
-        }
-        // The energy optimum and the runtime optimum both survive.
-        assert!(front.iter().any(|p| p.cap_w == 100.0));
-        assert!(front.iter().any(|p| p.cap_w == 400.0 || p.cap_w == 300.0));
     }
 
     #[test]

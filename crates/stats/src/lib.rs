@@ -28,7 +28,7 @@ pub mod summary;
 pub mod trace_diff;
 pub mod violin;
 
-pub use bootstrap::{bootstrap_ci, high_power_mode_ci, ConfidenceInterval};
+pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
 pub use energy_metrics::{best_point, Objective, OperatingPoint};
 pub use kde::Kde;
 pub use modes::{find_modes, fwhm, high_power_mode, DensityProfile, Mode};

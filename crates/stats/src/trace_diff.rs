@@ -4,8 +4,9 @@
 //! A bench regression that only reports a top-line median forces a human
 //! to bisect; the flight recorder already knows *which phase* got slower
 //! and *which counters* changed. This module turns two
-//! [`TraceBaseline`]s (stored by `Harness::bench_traced`, re-captured by
-//! `vpp trace diff`) into a ranked list of [`DiffRow`]s.
+//! [`TraceBaseline`]s, both made by [`TraceBaseline::capture`] (one stored
+//! by `vpp trace accept`, one re-captured by `vpp trace diff`), into a
+//! ranked list of [`DiffRow`]s.
 //!
 //! # Significance model
 //!

@@ -1,10 +1,17 @@
-//! Warmup/iterations/median benchmark harness with JSON reporting.
+//! Warmup/iterations/median benchmark harness with JSON reporting, and the
+//! trace baselines stored beside it.
 //!
 //! The in-tree replacement for criterion: each `[[bench]]` target builds a
 //! [`Harness`], registers functions with [`Harness::bench`] (single timing)
 //! or [`Harness::compare`] (before/after pair with speedup), and calls
 //! [`Harness::finish`], which prints a human-readable table and merges the
 //! group's results into a machine-readable `BENCH_results.json`.
+//!
+//! The same report holds the flight-recorder baselines under its
+//! [`BASELINE_GROUP`] group. [`TraceBaseline::capture`] is the one way to
+//! turn a traced run into a baseline, [`store_baseline`] (behind `vpp trace
+//! accept`) the one writer, and [`load_baseline`] the reader behind `vpp
+//! trace diff`. No bench writes that group.
 //!
 //! Methodology: each function is warmed up for a fixed wall budget, then
 //! timed in adaptive batches (batch size grows until one batch costs at
@@ -24,6 +31,7 @@
 //!   full bench binary completes in seconds (used by `scripts/verify.sh`).
 
 use crate::json::{self, Value};
+use crate::pool;
 use crate::trace::{self, TraceAggregate};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -56,8 +64,43 @@ pub struct TraceBaseline {
     pub tolerances: BTreeMap<String, f64>,
 }
 
+/// Report group (`BENCH_results.json`) holding the stored baselines.
+pub const BASELINE_GROUP: &str = "trace_baselines";
+
+/// Event budget of a [`TraceBaseline::capture`] session.
+const CAPTURE_CAPACITY: usize = 1 << 23;
+
 impl TraceBaseline {
-    /// Serialise for the `baselines` member of a bench group.
+    /// Run `body` under a fresh trace session and roll the report into a
+    /// baseline: the whole-run aggregate plus one sample per `sample_span`
+    /// subtree (e.g. `"protocol.repeat"`), ordered by that span's `rep`
+    /// field. Tolerances start empty.
+    ///
+    /// `body` runs on the calling thread under [`pool::serial`], so any
+    /// [`crate::par_map`] inside it runs inline: every span nests under its
+    /// sample, and the totals add up in one order. A re-run therefore
+    /// reproduces a stored baseline in every field but `wall_ns`.
+    ///
+    /// # Panics
+    /// If the session drops an event: a truncated baseline would bias
+    /// every later comparison.
+    #[must_use]
+    pub fn capture(sample_span: &str, body: impl FnOnce()) -> TraceBaseline {
+        let session = trace::session(CAPTURE_CAPACITY);
+        pool::serial(body);
+        let report = session.finish();
+        assert_eq!(
+            report.dropped, 0,
+            "baseline capture overflowed its {CAPTURE_CAPACITY}-event budget"
+        );
+        TraceBaseline {
+            aggregate: report.aggregate(),
+            samples: report.aggregates_under(sample_span),
+            tolerances: BTreeMap::new(),
+        }
+    }
+
+    /// Serialise for the `baselines` member of [`BASELINE_GROUP`].
     #[must_use]
     pub fn to_json(&self) -> Value {
         let mut obj = Value::Obj(vec![
@@ -115,88 +158,76 @@ impl TraceBaseline {
     }
 }
 
-/// Load one benchmark's stored [`TraceBaseline`] from a bench report
-/// written by [`Harness::finish`].
+/// Load the [`TraceBaseline`] stored under `name` in the bench report at
+/// `path`.
 ///
 /// # Errors
-/// If the file is missing/unparseable or the group/benchmark has no
-/// baseline recorded.
-pub fn load_baseline(path: &str, group: &str, name: &str) -> Result<TraceBaseline, String> {
+/// If the file is missing/unparseable or holds no baseline for `name`.
+pub fn load_baseline(path: &str, name: &str) -> Result<TraceBaseline, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let report = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let entry = report
         .get("groups")
-        .and_then(|g| g.get(group))
+        .and_then(|g| g.get(BASELINE_GROUP))
         .and_then(|g| g.get("baselines"))
         .and_then(|b| b.get(name))
         .ok_or_else(|| {
-            format!("{path}: no baseline for '{name}' in group '{group}' — run the baselines bench first")
+            format!("{path}: no baseline for '{name}' — bless one with `vpp trace accept {name}`")
         })?;
     TraceBaseline::from_json(entry)
 }
 
-/// Write (or overwrite) one benchmark's [`TraceBaseline`] inside a bench
-/// report, creating the file, the group and its `baselines` member as
-/// needed — the in-place blessing behind `vpp trace accept`, sharing the
-/// merge-don't-clobber discipline of [`Harness::finish`].
+/// Write (or overwrite) the baseline stored under `name`, creating the
+/// file, [`BASELINE_GROUP`] and its `baselines` member as needed and
+/// leaving every other member as it was — the in-place blessing behind
+/// `vpp trace accept`.
 ///
 /// # Errors
 /// If an existing file is unreadable/invalid JSON or the write fails.
-pub fn store_baseline(
+pub fn store_baseline(path: &str, name: &str, baseline: &TraceBaseline) -> Result<(), String> {
+    update_report(path, |groups| {
+        let baselines = object_member(groups, BASELINE_GROUP)
+            .and_then(|group| object_member(group, "baselines"))
+            .ok_or_else(|| format!("{path}: '{BASELINE_GROUP}.baselines' is not an object"))?;
+        baselines.set(name, baseline.to_json());
+        Ok(())
+    })
+}
+
+/// The one read-modify-write of a bench report, shared by
+/// [`Harness::finish`] and [`store_baseline`]: read the report at `path`
+/// (a fresh one when the file does not exist), let `edit` change its
+/// `groups` object, and write it back.
+fn update_report(
     path: &str,
-    group: &str,
-    name: &str,
-    baseline: &TraceBaseline,
+    edit: impl FnOnce(&mut Value) -> Result<(), String>,
 ) -> Result<(), String> {
     let mut report = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text).map_err(|e| format!("existing {path}: {e}"))?,
-        Err(_) => Value::Obj(vec![
-            ("schema".into(), Value::Str("vpp-bench/1".into())),
-            ("groups".into(), Value::Obj(vec![])),
-        ]),
+        Ok(text) => {
+            json::parse(&text).map_err(|e| format!("existing {path} is not valid JSON: {e}"))?
+        }
+        Err(_) => Value::Obj(vec![("schema".into(), Value::Str("vpp-bench/1".into()))]),
     };
-    if report.get("groups").is_none() {
-        report.set("groups", Value::Obj(vec![]));
-    }
-    let Value::Obj(members) = &mut report else {
-        return Err(format!("{path}: report is not a JSON object"));
-    };
-    let groups = members
-        .iter_mut()
-        .find(|(k, _)| k == "groups")
-        .map(|(_, v)| v)
-        .expect("inserted above");
-    let Value::Obj(groups) = groups else {
-        return Err(format!("{path}: 'groups' is not an object"));
-    };
-    if !groups.iter().any(|(k, _)| k == group) {
-        groups.push((group.to_string(), Value::Obj(vec![])));
-    }
-    let slot = groups
-        .iter_mut()
-        .find(|(k, _)| k == group)
-        .map(|(_, v)| v)
-        .expect("inserted above");
-    let Value::Obj(group_members) = slot else {
-        return Err(format!("{path}: group '{group}' is not an object"));
-    };
-    if !group_members.iter().any(|(k, _)| k == "baselines") {
-        group_members.push(("baselines".to_string(), Value::Obj(vec![])));
-    }
-    let baselines = group_members
-        .iter_mut()
-        .find(|(k, _)| k == "baselines")
-        .map(|(_, v)| v)
-        .expect("inserted above");
-    let Value::Obj(baselines) = baselines else {
-        return Err(format!("{path}: '{group}.baselines' is not an object"));
-    };
-    if let Some(entry) = baselines.iter_mut().find(|(k, _)| k == name) {
-        entry.1 = baseline.to_json();
-    } else {
-        baselines.push((name.to_string(), baseline.to_json()));
-    }
+    let groups = object_member(&mut report, "groups")
+        .ok_or_else(|| format!("{path}: no 'groups' object"))?;
+    edit(groups)?;
     std::fs::write(path, report.pretty()).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The member `key` of the object `obj`, inserted as `{}` when absent;
+/// `None` when `obj` or the member is not an object.
+fn object_member<'a>(obj: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    let Value::Obj(members) = obj else {
+        return None;
+    };
+    if !members.iter().any(|(k, _)| k == key) {
+        members.push((key.to_string(), Value::Obj(Vec::new())));
+    }
+    members
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .filter(|v| matches!(v, Value::Obj(_)))
 }
 
 /// One before/after comparison.
@@ -222,7 +253,6 @@ pub struct Harness {
     measure: Duration,
     entries: Vec<Entry>,
     comparisons: Vec<Comparison>,
-    baselines: Vec<(String, TraceBaseline)>,
 }
 
 impl Harness {
@@ -241,7 +271,6 @@ impl Harness {
             measure: Duration::from_millis(measure_ms),
             entries: Vec::new(),
             comparisons: Vec::new(),
-            baselines: Vec::new(),
         }
     }
 
@@ -254,40 +283,6 @@ impl Harness {
             median_ns,
             calls,
         });
-    }
-
-    /// Time one function and additionally record its flight-recorder
-    /// baseline: `f` is timed untraced as usual, then run once inside a
-    /// trace session whose report is rolled up into a [`TraceBaseline`]
-    /// (whole-run aggregate plus one per-repeat sample for every
-    /// `sample_span` subtree, e.g. `"protocol.repeat"`). The baseline is
-    /// written under the group's `baselines` member by
-    /// [`Harness::finish`], where `vpp trace diff` finds it.
-    pub fn bench_traced<R, F: FnMut() -> R>(
-        &mut self,
-        name: &str,
-        sample_span: &'static str,
-        mut f: F,
-    ) {
-        self.bench(name, &mut f);
-        let session = trace::session(1 << 22);
-        std::hint::black_box(f());
-        let report = session.finish();
-        assert_eq!(
-            report.dropped, 0,
-            "baseline trace for '{name}' overflowed its event budget"
-        );
-        let baseline = TraceBaseline {
-            aggregate: report.aggregate(),
-            samples: report.aggregates_under(sample_span),
-            tolerances: BTreeMap::new(),
-        };
-        eprintln!(
-            "  {name:<44} baseline: {} span kinds, {} repeat sample(s)",
-            baseline.aggregate.spans.len(),
-            baseline.samples.len()
-        );
-        self.baselines.push((name.to_string(), baseline));
     }
 
     /// Time a before/after pair and record the speedup.
@@ -376,21 +371,15 @@ impl Harness {
         (per_call[per_call.len() / 2], calls)
     }
 
-    /// Print the group summary and merge it into the JSON report.
+    /// Print the group summary and merge it into the JSON report,
+    /// replacing this group's earlier results and keeping every other
+    /// group.
     ///
     /// # Panics
     /// If the report file exists but is unreadable or not valid JSON.
     pub fn finish(self) {
         let path = std::env::var("VPP_BENCH_OUT")
             .unwrap_or_else(|_| "BENCH_results.json".to_string());
-        let mut report = match std::fs::read_to_string(&path) {
-            Ok(text) => json::parse(&text)
-                .unwrap_or_else(|e| panic!("existing {path} is not valid JSON: {e}")),
-            Err(_) => Value::Obj(vec![
-                ("schema".into(), Value::Str("vpp-bench/1".into())),
-                ("groups".into(), Value::Obj(vec![])),
-            ]),
-        };
         let entries = Value::Arr(
             self.entries
                 .iter()
@@ -417,39 +406,15 @@ impl Harness {
                 })
                 .collect(),
         );
-        let mut group = Value::Obj(vec![
+        let group = Value::Obj(vec![
             ("entries".into(), entries),
             ("comparisons".into(), comparisons),
         ]);
-        if !self.baselines.is_empty() {
-            group.set(
-                "baselines",
-                Value::Obj(
-                    self.baselines
-                        .iter()
-                        .map(|(name, b)| (name.clone(), b.to_json()))
-                        .collect(),
-                ),
-            );
-        }
-        if report.get("groups").is_none() {
-            report.set("groups", Value::Obj(vec![]));
-        }
-        let groups = match &mut report {
-            Value::Obj(m) => m.iter_mut().find(|(k, _)| k == "groups").map(|(_, v)| v),
-            _ => None,
-        };
-        let members = match groups {
-            Some(Value::Obj(members)) => members,
-            _ => panic!("{path}: 'groups' is not an object"),
-        };
-        if let Some(slot) = members.iter_mut().find(|(k, _)| *k == self.group) {
-            slot.1 = group;
-        } else {
-            members.push((self.group.clone(), group));
-        }
-        std::fs::write(&path, report.pretty())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        update_report(&path, |groups| {
+            groups.set(&self.group, group);
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
         eprintln!("bench group '{}' written to {path}", self.group);
     }
 }
@@ -526,7 +491,6 @@ mod tests {
             measure: Duration::from_millis(5),
             entries: Vec::new(),
             comparisons: Vec::new(),
-            baselines: Vec::new(),
         }
     }
 
@@ -611,40 +575,39 @@ mod tests {
     }
 
     #[test]
-    fn bench_traced_stores_a_loadable_baseline() {
+    fn capture_stores_a_loadable_baseline() {
         let dir = std::env::temp_dir().join(format!("vpp_baseline_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_baseline.json");
         let _ = std::fs::remove_file(&path);
+        let path = path.to_str().unwrap().to_string();
 
-        let mut h = smoke_harness("trace_baselines");
-        h.bench_traced("toy", "toy.rep", || {
-            // Only the traced run records spans; the timing runs see a
-            // disabled recorder and stay silent.
+        let b = TraceBaseline::capture("toy.rep", || {
             for rep in 0..3u64 {
                 let _r = crate::span!("toy.rep", rep = rep);
-                let mut p = crate::span!("toy.phase", sim_t0 = 0.0);
-                p.record("sim_t1", 2.0);
-                p.record("energy_j", 5.0);
+                // Pool work inside the body runs inline, so its spans
+                // nest under the repeat that issued them.
+                crate::par_map((0..4).collect::<Vec<u32>>(), |_| {
+                    let mut p = crate::span!("toy.phase", sim_t0 = 0.0);
+                    p.record("sim_t1", 2.0);
+                    p.record("energy_j", 5.0);
+                });
             }
             trace::counter("toy.ticks", 1);
         });
-        assert_eq!(h.baselines.len(), 1);
-        let b = &h.baselines[0].1;
         assert_eq!(b.samples.len(), 3);
-        assert_eq!(b.aggregate.span("toy.phase").unwrap().count, 3);
-        assert!((b.aggregate.span("toy.phase").unwrap().energy_j - 15.0).abs() < 1e-9);
+        for s in &b.samples {
+            assert_eq!(s.span("toy.phase").unwrap().count, 4, "{s:?}");
+        }
+        assert_eq!(b.aggregate.span("toy.phase").unwrap().count, 12);
+        assert!((b.aggregate.span("toy.phase").unwrap().energy_j - 60.0).abs() < 1e-9);
+        assert_eq!(b.aggregate.counters["toy.ticks"], 1);
+        assert!(b.tolerances.is_empty());
 
-        // Round-trips through finish() + load_baseline().
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("VPP_BENCH_OUT", &path);
-        let expected = b.clone();
-        h.finish();
-        std::env::remove_var("VPP_BENCH_OUT");
-        let loaded =
-            load_baseline(path.to_str().unwrap(), "trace_baselines", "toy").unwrap();
-        assert_eq!(loaded, expected);
-        assert!(load_baseline(path.to_str().unwrap(), "trace_baselines", "missing").is_err());
+        store_baseline(&path, "toy", &b).unwrap();
+        assert_eq!(load_baseline(&path, "toy").unwrap(), b);
+        let missing = load_baseline(&path, "missing").unwrap_err();
+        assert!(missing.contains("vpp trace accept missing"), "{missing}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -656,42 +619,41 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let path = path.to_str().unwrap().to_string();
 
-        let s = trace::session(256);
-        {
+        let mut baseline = TraceBaseline::capture("phase.scf_iter", || {
             let mut p = crate::span!("phase.scf_iter", sim_t0 = 0.0);
             p.record("sim_t1", 2.5);
-        }
-        trace::counter("toy.ticks", 7);
-        let agg = s.finish().aggregate();
-        let mut baseline = TraceBaseline {
-            aggregate: agg.clone(),
-            samples: vec![agg],
-            tolerances: BTreeMap::new(),
-        };
+            trace::counter("toy.ticks", 7);
+        });
         baseline
             .tolerances
             .insert("phase.scf_iter".to_string(), 0.05);
 
         // Creates file + group + member from nothing.
-        store_baseline(&path, "trace_baselines", "toy", &baseline).unwrap();
-        let loaded = load_baseline(&path, "trace_baselines", "toy").unwrap();
+        store_baseline(&path, "toy", &baseline).unwrap();
+        let loaded = load_baseline(&path, "toy").unwrap();
         assert_eq!(loaded, baseline);
         assert!((loaded.tolerances["phase.scf_iter"] - 0.05).abs() < 1e-12);
 
         // Re-blessing overwrites in place without duplicating members,
         // and leaves sibling baselines untouched.
-        store_baseline(&path, "trace_baselines", "other", &baseline).unwrap();
+        store_baseline(&path, "other", &baseline).unwrap();
         let mut updated = baseline.clone();
         updated.tolerances.insert("job.collective".to_string(), 0.10);
-        store_baseline(&path, "trace_baselines", "toy", &updated).unwrap();
-        assert_eq!(
-            load_baseline(&path, "trace_baselines", "toy").unwrap(),
-            updated
-        );
-        assert_eq!(
-            load_baseline(&path, "trace_baselines", "other").unwrap(),
-            baseline
-        );
+        store_baseline(&path, "toy", &updated).unwrap();
+        assert_eq!(load_baseline(&path, "toy").unwrap(), updated);
+        assert_eq!(load_baseline(&path, "other").unwrap(), baseline);
+
+        // A bench group written into the same report leaves the
+        // baselines alone: both go through one read-modify-write.
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var("VPP_BENCH_OUT", &path);
+        let mut h = smoke_harness("alpha");
+        h.bench("x", || 0);
+        h.finish();
+        std::env::remove_var("VPP_BENCH_OUT");
+        assert_eq!(load_baseline(&path, "toy").unwrap(), updated);
+        let report = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(report.get("groups").unwrap().get("alpha").is_some());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -6,9 +6,9 @@
 //! testing, and the perf trajectory wants a benchmark harness with
 //! machine-readable output. This crate provides all three on `std` alone:
 //!
-//! * [`pool`] — a scoped-thread work pool ([`par_map`] / [`par_map_ref`])
-//!   that replaces rayon in the experiment harness. Nested calls degrade to
-//!   serial execution so fan-out never oversubscribes the machine.
+//! * [`pool`] — a scoped-thread work pool ([`par_map`]) that replaces rayon
+//!   in the experiment harness. Nested calls degrade to serial execution
+//!   so fan-out never oversubscribes the machine.
 //! * [`prop`] — a minimal property-test harness and the [`properties!`]
 //!   macro that replace proptest: deterministic per-case RNG streams,
 //!   failing-case seed reporting, `prop_assume!`-style discards.
@@ -39,5 +39,5 @@ pub mod serve;
 pub mod trace;
 
 pub use bench::Harness;
-pub use pool::{par_map, par_map_ref};
+pub use pool::par_map;
 pub use rng::Rng;

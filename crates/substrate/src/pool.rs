@@ -120,17 +120,6 @@ pub fn serial<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Borrowing variant of [`par_map`]: map `f` over `&items` in parallel,
-/// preserving input order.
-pub fn par_map_ref<'a, T, U, F>(items: &'a [T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'a T) -> U + Sync,
-{
-    par_map(items.iter().collect(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,13 +141,6 @@ mod tests {
     fn single_item_runs_inline() {
         let out = par_map(vec![7usize], |x| x + 1);
         assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn borrowing_variant_matches() {
-        let items = vec![1.0f64, 2.0, 3.0];
-        let out = par_map_ref(&items, |x| x * 10.0);
-        assert_eq!(out, vec![10.0, 20.0, 30.0]);
     }
 
     #[test]

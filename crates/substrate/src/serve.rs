@@ -123,8 +123,10 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on a request body (job specs are small documents).
 const MAX_BODY: usize = 256 * 1024;
-/// Upper bound on a federation peer's `/metrics` response, far above this
-/// service's own exposition. A peer that sends more counts as down.
+/// Upper bound on a [`scrape_peer`] response (a federation peer's
+/// `/metrics`, a `vpp logs` chunk), far above this service's own
+/// exposition or a full `/logs` chunk. A peer that sends more counts as
+/// down.
 const MAX_PEER_RESPONSE: u64 = 4 << 20;
 /// Event budget for each job's private trace session.
 const JOB_TRACE_CAPACITY: usize = 1 << 20;
@@ -556,13 +558,6 @@ impl ServeHandle {
     #[must_use]
     pub fn requests(&self) -> u64 {
         self.shared.requests.load(Ordering::SeqCst)
-    }
-
-    /// Jobs in terminal states (done + failed) so far.
-    #[must_use]
-    pub fn jobs_finished(&self) -> u64 {
-        self.shared.jobs_completed.load(Ordering::SeqCst)
-            + self.shared.jobs_failed.load(Ordering::SeqCst)
     }
 
     /// Stop accepting, drain the workers, join every thread (including
@@ -1711,7 +1706,11 @@ fn merge_federated(out: &mut String, peers: &[String]) {
     declared.insert("vpp_federate_peer_up".to_string());
     let mut merged = String::new();
     for peer in peers {
-        let up = match scrape_peer(peer) {
+        let scraped = scrape_peer(peer).and_then(|(status, _, body)| match status {
+            200 => Ok(body),
+            _ => Err(format!("peer answered {status}")),
+        });
+        let up = match scraped {
             Ok(text) => {
                 merge_exposition(&mut merged, &mut declared, peer, &text);
                 1
@@ -1771,10 +1770,16 @@ fn merge_exposition(
     }
 }
 
-/// Minimal HTTP GET of a peer's `/metrics`. Accepts `host:port` or
-/// `http://host:port[/path]`; anything but a 200 is an error, and so is a
-/// response longer than [`MAX_PEER_RESPONSE`].
-fn scrape_peer(peer: &str) -> Result<String, String> {
+/// Minimal bounded HTTP GET, the one client behind federation scrapes
+/// and `vpp logs`. Accepts `host:port` or `http://host:port[/path]` (the
+/// path defaults to `/metrics`) and returns the status code, the head
+/// (status line and headers) and the body. Connecting, and each read and
+/// write, times out after 2 s.
+///
+/// # Errors
+/// If the peer cannot be reached, the response is malformed, or it is
+/// longer than 4 MiB.
+pub fn scrape_peer(peer: &str) -> Result<(u16, String, String), String> {
     let rest = peer.strip_prefix("http://").unwrap_or(peer);
     let (hostport, path) = match rest.find('/') {
         Some(i) => (&rest[..i], &rest[i..]),
@@ -1800,19 +1805,18 @@ fn scrape_peer(peer: &str) -> Result<String, String> {
         .read_to_string(&mut raw)
         .map_err(|e| format!("read from {addr}: {e}"))?;
     if raw.len() as u64 > MAX_PEER_RESPONSE {
-        return Err(format!(
-            "peer {addr} sent more than {MAX_PEER_RESPONSE} bytes"
-        ));
+        return Err(format!("{addr} sent more than {MAX_PEER_RESPONSE} bytes"));
     }
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .or_else(|| raw.split_once("\n\n"))
         .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let status = head.split_whitespace().nth(1).unwrap_or("");
-    if status != "200" {
-        return Err(format!("peer {addr} answered {status}"));
-    }
-    Ok(body.to_string())
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| format!("malformed status line from {addr}"))?;
+    Ok((status, head.to_string(), body.to_string()))
 }
 
 fn healthz_body(shared: &Arc<Shared>) -> String {

@@ -1796,8 +1796,8 @@ fn csv_fields_cell(fields: &[Field]) -> String {
 /// Per-span-name totals over one trace (or one span subtree): how many
 /// times the span ran, its wall-clock cost, and — where the span carries
 /// the executor's `sim_t0`/`sim_t1`/`energy_j` fields — the simulated
-/// duration and attributed energy. This is the unit the bench harness
-/// stores as a baseline and `vpp trace diff` compares.
+/// duration and attributed energy. This is the unit a trace baseline
+/// stores and `vpp trace diff` compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanStat {
     /// Span name (`phase.scf_iter`, `job.collective`, …).

@@ -1,12 +1,18 @@
 #!/usr/bin/env sh
-# Hermetic verification: offline release build, full test suite, and a
-# smoke-mode bench run that refreshes BENCH_results.json at the repo root.
+# Hermetic verification: offline release build, full test suite, the
+# golden `repro` output, a smoke-mode bench run into a throwaway report
+# under target/, and CLI/service smokes. The committed BENCH_results.json
+# is only read (its trace baselines back the `trace diff` smokes); no
+# step rewrites a tracked file.
 #
 # No network, no external crates — the workspace is std-only.
 set -eu
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$ROOT"
+# The smoke bench's report: fresh each run, so every floor below reads
+# this run's numbers.
+BENCH_OUT="$ROOT/target/verify_bench.json"
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
@@ -43,22 +49,36 @@ for EXAMPLE in examples/*.rs; do
     }
 done
 
+echo "==> golden repro: full stdout must equal repro_reference_output.txt"
+# stdout carries no wall-clock lines (those go to stderr) and is
+# byte-stable from run to run; an intended output change re-blesses the
+# file and says so in CHANGES.md.
+./target/release/repro > "$ROOT/target/verify_repro.out" 2>/dev/null || {
+    echo "verify: FAIL — repro exited non-zero" >&2
+    exit 1
+}
+diff -u "$ROOT/repro_reference_output.txt" "$ROOT/target/verify_repro.out" >&2 || {
+    echo "verify: FAIL — repro stdout differs from repro_reference_output.txt" >&2
+    exit 1
+}
+
 echo "==> trace smoke (vpp trace B.hR105_hse --quick)"
 cargo run -q --release --offline --bin vpp -- trace B.hR105_hse --quick
 
 echo "==> JSON round-trip property (256 cases)"
 VPP_PROP_CASES=256 cargo test -q --offline -p vpp-substrate --test json_roundtrip
 
-echo "==> smoke bench (VPP_BENCH_SMOKE=1) -> BENCH_results.json"
-VPP_BENCH_SMOKE=1 VPP_BENCH_OUT="$ROOT/BENCH_results.json" \
+echo "==> smoke bench (VPP_BENCH_SMOKE=1) -> target/verify_bench.json"
+rm -f "$BENCH_OUT"
+VPP_BENCH_SMOKE=1 VPP_BENCH_OUT="$BENCH_OUT" \
     cargo bench -q --offline -p vpp-bench
 
-echo "==> BENCH_results.json comparisons:"
-grep -A4 -E '"name": "(.*_before_after|des_.*)"' "$ROOT/BENCH_results.json" \
+echo "==> smoke bench comparisons:"
+grep -A4 -E '"name": "(.*_before_after|des_.*)"' "$BENCH_OUT" \
     | grep -E '"name"|"speedup"|"drift"' || true
 
 echo "==> Harness::compare drift bound (worse first/second-half shift of either leg)"
-MAX_DRIFT=$(sed -n 's/.*"drift": \([0-9.eE+-]*\).*/\1/p' "$ROOT/BENCH_results.json" \
+MAX_DRIFT=$(sed -n 's/.*"drift": \([0-9.eE+-]*\).*/\1/p' "$BENCH_OUT" \
     | sort -g | tail -n 1)
 if [ -n "$MAX_DRIFT" ]; then
     awk -v d="$MAX_DRIFT" 'BEGIN {
@@ -68,15 +88,15 @@ if [ -n "$MAX_DRIFT" ]; then
     awk -v d="$MAX_DRIFT" 'BEGIN { exit !(d <= 0.25) }' || \
         echo "    WARNING: host drifted more than +/-25% mid-bench; re-run on a quieter machine before trusting speedups"
 else
-    echo "verify: FAIL — no comparison in BENCH_results.json carries a drift bound" >&2
+    echo "verify: FAIL — no comparison in the smoke bench report carries a drift bound" >&2
     exit 1
 fi
 
 echo "==> DES acceptance: calendar queue >= 3x heap at 1e6 pending (measured ~8x; floor guards regressions through CI noise)"
-DES_SPEEDUP=$(grep -A4 '"name": "des_throughput_1e6"' "$ROOT/BENCH_results.json" \
+DES_SPEEDUP=$(grep -A4 '"name": "des_throughput_1e6"' "$BENCH_OUT" \
     | sed -n 's/.*"speedup": \([0-9.eE+-]*\).*/\1/p' | head -n 1)
 [ -n "$DES_SPEEDUP" ] || {
-    echo "verify: FAIL — des_throughput_1e6 comparison missing from BENCH_results.json" >&2
+    echo "verify: FAIL — des_throughput_1e6 comparison missing from the smoke bench report" >&2
     exit 1
 }
 awk -v s="$DES_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }' || {
@@ -86,10 +106,10 @@ awk -v s="$DES_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }' || {
 echo "    des_throughput_1e6 speedup: ${DES_SPEEDUP}x"
 
 echo "==> serve floor: one kept-alive GET /healthz round trip <= 5 ms (measured ~0.04 ms; ~44 ms when a reply waits on Nagle + delayed ACK)"
-SERVE_RTT_NS=$(grep -A1 '"name": "serve_keepalive_healthz"' "$ROOT/BENCH_results.json" \
+SERVE_RTT_NS=$(grep -A1 '"name": "serve_keepalive_healthz"' "$BENCH_OUT" \
     | sed -n 's/.*"median_ns": \([0-9.eE+-]*\).*/\1/p' | head -n 1)
 [ -n "$SERVE_RTT_NS" ] || {
-    echo "verify: FAIL — serve_keepalive_healthz entry missing from BENCH_results.json" >&2
+    echo "verify: FAIL — serve_keepalive_healthz entry missing from the smoke bench report" >&2
     exit 1
 }
 awk -v n="$SERVE_RTT_NS" 'BEGIN { exit !(n <= 5e6) }' || {
@@ -128,11 +148,11 @@ grep -q '^tco_aware' /tmp/vpp_campaign_site.out || {
     exit 1
 }
 
-echo "==> trace diff smoke: campaign re-run must match its blessed baseline"
+echo "==> trace diff smoke: campaign re-run must match its committed baseline"
 VPP_BENCH_OUT="$ROOT/BENCH_results.json" \
     cargo run -q --release --offline --bin vpp -- trace diff campaign
 
-echo "==> trace diff smoke: unperturbed re-run must match its baseline"
+echo "==> trace diff smoke: unperturbed re-run must match its committed baseline"
 VPP_BENCH_OUT="$ROOT/BENCH_results.json" \
     cargo run -q --release --offline --bin vpp -- trace diff Si256_hse
 

@@ -33,12 +33,13 @@
 //! `BENCH_results.json` (group `trace_baselines`), and exits 1 when a
 //! significant regression is found. `--perturb` injects an artificial
 //! slowdown — a phase kind stretches compute, `collective:FACTOR`
-//! stretches network time only. Setting `VPP_BENCH_DIFF=1` turns a plain
-//! `vpp trace <benchmark>` into `vpp trace diff <benchmark>`.
+//! stretches network time only.
 //!
 //! `trace accept` re-captures the baseline with the same pinned recipe
 //! and blesses it in place, persisting any `--tolerance PHASE:PCT`
-//! overrides alongside the samples.
+//! overrides alongside the samples; it is the only writer of stored
+//! baselines. Both commands also take `campaign`, the pinned campaign
+//! recipe, as their target.
 //!
 //! `serve` (and `--metrics-port` on `profile` / `caps` / `trace`) starts
 //! the std-only observability endpoint (DESIGN.md §3.7): `GET /metrics`,
@@ -71,7 +72,9 @@ use vasp_power_profiles::dft::{parse_incar, parse_kpoints, parse_poscar, PhaseKi
 use vasp_power_profiles::powercap::policy::FixedCap;
 use vasp_power_profiles::powercap::{campaign, CampaignSpec, CapPolicy, TcoAware};
 use vasp_power_profiles::stats::{trace_diff, DiffConfig, Segmenter};
-use vasp_power_profiles::substrate::bench::{load_baseline, store_baseline};
+use vasp_power_profiles::substrate::bench::{
+    load_baseline, store_baseline, TraceBaseline, BASELINE_GROUP,
+};
 use vasp_power_profiles::substrate::serve::{self, RunState, ServeConfig, ServeHandle};
 use vasp_power_profiles::substrate::trace::{self, ExportFormat};
 use vasp_power_profiles::telemetry::{Sampler, Screener};
@@ -889,48 +892,67 @@ fn cmd_campaign(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-run `target` with the pinned baseline recipe, diff its per-phase
-/// trace aggregates against the stored baseline, and print the ranked
-/// triage table. Exits 1 when a significant regression is found.
-fn cmd_trace_diff(p: &Parsed) -> Result<(), String> {
-    let target = p.positional.first().ok_or("trace diff needs a target")?;
-    // The campaign baseline is a pinned recipe of its own, not one of the
-    // Table I benchmarks: it has no perturbable protocol phases.
+/// A `trace diff` / `trace accept` target: the name its baseline is
+/// stored under, what the re-run is, and the capture of its pinned recipe.
+struct BaselineTarget {
+    name: String,
+    rerun: String,
+    capture: Box<dyn FnOnce() -> TraceBaseline>,
+}
+
+/// Resolve the target of `trace diff` and `trace accept`: `campaign` is
+/// the pinned campaign recipe; anything else is a benchmark under the
+/// pinned protocol recipe, stretched by `--perturb` when given.
+fn baseline_target(p: &Parsed) -> Result<BaselineTarget, String> {
+    let target = p
+        .positional
+        .first()
+        .ok_or("needs a target: a benchmark or `campaign`")?;
+    let perturb = flag_perturb(p)?;
     if target == campaign::BASELINE_NAME {
-        if flag_perturb(p)?.is_some() {
+        // Not one of the Table I benchmarks: it has no perturbable
+        // protocol phases.
+        if perturb.is_some() {
             return Err("--perturb applies to protocol benchmarks, not the campaign".into());
         }
-        let path = bench_out_path();
-        let base = load_baseline(&path, flight::BASELINE_GROUP, campaign::BASELINE_NAME)?;
-        println!(
-            "baseline : {path} / {} / {} ({} repeat sample(s))",
-            flight::BASELINE_GROUP,
-            campaign::BASELINE_NAME,
-            base.samples.len()
-        );
-        println!("re-run   : pinned campaign recipe (unperturbed)");
-        let current = campaign::capture_baseline(flight::SESSION_CAPACITY);
-        let d = trace_diff(&base, &current, &DiffConfig::default());
-        return print_trace_diff(&d);
+        return Ok(BaselineTarget {
+            name: target.clone(),
+            rerun: "pinned campaign recipe (unperturbed)".into(),
+            capture: Box::new(|| {
+                TraceBaseline::capture(campaign::SAMPLE_SPAN, campaign::baseline_body)
+            }),
+        });
     }
     let bench = resolve(target)?;
-    let path = bench_out_path();
-    let base = load_baseline(&path, flight::BASELINE_GROUP, bench.name())?;
     let mut cfg = flight::baseline_cfg();
-    println!(
-        "baseline : {path} / {} / {} ({} repeat sample(s))",
-        flight::BASELINE_GROUP,
-        bench.name(),
-        base.samples.len()
-    );
-    match flag_perturb(p)? {
+    let rerun = match perturb {
         Some(perturb) => {
             cfg = perturb.apply(cfg);
-            println!("re-run   : perturbed, {}", perturb.label());
+            format!("perturbed, {}", perturb.label())
         }
-        None => println!("re-run   : unperturbed baseline recipe"),
-    }
-    let (_m, current) = flight::capture(&bench, &cfg, &flight::baseline_ctx());
+        None => "unperturbed baseline recipe".into(),
+    };
+    Ok(BaselineTarget {
+        name: bench.name().to_string(),
+        rerun,
+        capture: Box::new(move || flight::capture(&bench, &cfg, &flight::baseline_ctx())),
+    })
+}
+
+/// Re-run the target's pinned recipe, diff its per-phase trace aggregates
+/// against the stored baseline, and print the ranked triage table. Exits
+/// 1 when a significant regression is found.
+fn cmd_trace_diff(p: &Parsed) -> Result<(), String> {
+    let target = baseline_target(p)?;
+    let path = bench_out_path();
+    let base = load_baseline(&path, &target.name)?;
+    println!(
+        "baseline : {path} / {BASELINE_GROUP} / {} ({} repeat sample(s))",
+        target.name,
+        base.samples.len()
+    );
+    println!("re-run   : {}", target.rerun);
+    let current = (target.capture)();
     let d = trace_diff(&base, &current, &DiffConfig::default());
     print_trace_diff(&d)
 }
@@ -1003,8 +1025,6 @@ fn print_trace_diff(d: &vasp_power_profiles::stats::TraceDiff) -> Result<(), Str
     Ok(())
 }
 
-/// Re-capture `target` with the pinned recipe and bless the result as the
-/// stored baseline, persisting `--tolerance` overrides next to it.
 /// Parse repeated `--tolerance PHASE:PCT` flags into span-name fractions.
 fn parse_tolerances(p: &Parsed) -> Result<BTreeMap<String, f64>, String> {
     let mut tolerances = BTreeMap::new();
@@ -1035,32 +1055,20 @@ fn parse_tolerances(p: &Parsed) -> Result<BTreeMap<String, f64>, String> {
     Ok(tolerances)
 }
 
+/// Re-capture the target with its pinned recipe and bless the result as
+/// the stored baseline, persisting `--tolerance` overrides next to it.
 fn cmd_trace_accept(p: &Parsed) -> Result<(), String> {
-    let target = p.positional.first().ok_or("trace accept needs a target")?;
-    if target == campaign::BASELINE_NAME {
-        let mut baseline = campaign::capture_baseline(flight::SESSION_CAPACITY);
-        baseline.tolerances = parse_tolerances(p)?;
-        let path = bench_out_path();
-        store_baseline(&path, flight::BASELINE_GROUP, campaign::BASELINE_NAME, &baseline)?;
-        println!(
-            "blessed  : {path} / {} / {} ({} repeat sample(s))",
-            flight::BASELINE_GROUP,
-            campaign::BASELINE_NAME,
-            baseline.samples.len()
-        );
-        return Ok(());
-    }
-    let bench = resolve(target)?;
+    let target = baseline_target(p)?;
     let tolerances = parse_tolerances(p)?;
-    let (_m, mut baseline) =
-        flight::capture(&bench, &flight::baseline_cfg(), &flight::baseline_ctx());
-    baseline.tolerances = tolerances;
+    let baseline = TraceBaseline {
+        tolerances,
+        ..(target.capture)()
+    };
     let path = bench_out_path();
-    store_baseline(&path, flight::BASELINE_GROUP, bench.name(), &baseline)?;
+    store_baseline(&path, &target.name, &baseline)?;
     println!(
-        "blessed  : {path} / {} / {} ({} repeat sample(s))",
-        flight::BASELINE_GROUP,
-        bench.name(),
+        "blessed  : {path} / {BASELINE_GROUP} / {} ({} repeat sample(s))",
+        target.name,
         baseline.samples.len()
     );
     if baseline.tolerances.is_empty() {
@@ -1075,9 +1083,6 @@ fn cmd_trace_accept(p: &Parsed) -> Result<(), String> {
 
 fn cmd_trace(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("trace needs a target")?;
-    if std::env::var("VPP_BENCH_DIFF").is_ok_and(|v| v == "1") {
-        return cmd_trace_diff(p);
-    }
     let bench = resolve(target)?;
     let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
     let cap = flag_cap(p)?;
@@ -1269,22 +1274,8 @@ fn cmd_logs(p: &Parsed) -> Result<(), String> {
         .split('/')
         .next()
         .unwrap_or(target);
-    let mut stream = std::net::TcpStream::connect(hostport)
-        .map_err(|e| format!("connect {hostport}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {hostport}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("send to {hostport}: {e}"))?;
-    let mut raw = String::new();
-    std::io::Read::read_to_string(&mut stream, &mut raw)
-        .map_err(|e| format!("read from {hostport}: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response from {hostport}"))?;
-    let status = head.split_whitespace().nth(1).unwrap_or("");
-    if status != "200" {
+    let (status, head, body) = serve::scrape_peer(&format!("{hostport}{path}"))?;
+    if status != 200 {
         return Err(format!("{hostport} answered {status}: {}", body.trim_end()));
     }
     print!("{body}");

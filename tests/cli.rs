@@ -362,3 +362,37 @@ fn trace_diff_without_a_stored_baseline_fails_with_guidance() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot read"), "{err}");
 }
+
+#[test]
+fn logs_stops_reading_at_the_response_bound() {
+    // A service that answers 200 and then keeps writing: `vpp logs`
+    // reads through the same 4 MiB bound as a federation scrape and
+    // fails instead of printing the flood.
+    const FLOOD_BYTES: usize = 64 << 20;
+    let flood = std::net::TcpListener::bind("127.0.0.1:0").expect("bind flooding service");
+    let addr = flood.local_addr().expect("local addr").to_string();
+    let flooder = std::thread::spawn(move || {
+        let (mut s, _) = flood.accept().expect("vpp logs connects");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut head, mut byte) = (Vec::new(), [0u8; 1]);
+        while !head.ends_with(b"\r\n\r\n") && s.read(&mut byte).is_ok_and(|n| n == 1) {
+            head.push(byte[0]);
+        }
+        let chunk = "{\"seq\": 1}\n".repeat(4096);
+        let mut sent = 0;
+        if s.write_all(b"HTTP/1.1 200 OK\r\nX-Vpp-Next-Cursor: 1\r\n\r\n").is_ok() {
+            while sent < FLOOD_BYTES && s.write_all(chunk.as_bytes()).is_ok() {
+                sent += chunk.len();
+            }
+        }
+        sent
+    });
+    let out = vpp().args(["logs", &addr]).output().expect("vpp runs");
+    let sent = flooder.join().expect("flooding service");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("more than 4194304 bytes"), "{err}");
+    assert!(out.stdout.is_empty(), "printed {} bytes", out.stdout.len());
+    assert!(sent < FLOOD_BYTES, "vpp logs read the whole flood ({sent} bytes)");
+}

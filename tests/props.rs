@@ -259,15 +259,6 @@ properties! {
         }
     }
 
-    fn coarsen_conserves_energy(rng) {
-        let trace = PowerTrace::from_segments(0.0, segments(rng, 1, 40));
-        let dt = rng.uniform(0.05, 10.0);
-        let coarse = trace.coarsen(dt);
-        assert!((coarse.energy() - trace.energy()).abs() <= 1e-6 * (1.0 + trace.energy()));
-        assert!((coarse.duration() - trace.duration()).abs() <= 1e-9);
-        assert!(coarse.len() <= trace.duration().div_euclid(dt) as usize + 2);
-    }
-
     fn phase_segmentation_tiles_the_input(rng) {
         let n_steps = usize_in(rng, 1, 8);
         let data: Vec<f64> = (0..n_steps)
@@ -301,32 +292,5 @@ properties! {
         // for skewed tiny samples; allow slack of one interval width.
         let slack = ci.width() + 1e-9;
         assert!(ci.estimate >= ci.lo - slack && ci.estimate <= ci.hi + slack);
-    }
-
-    fn pareto_front_is_nondominated_and_sorted(rng) {
-        use vasp_power_profiles::stats::energy_metrics::{pareto_front, OperatingPoint};
-        let n = usize_in(rng, 1, 20);
-        let points: Vec<OperatingPoint> = (0..n)
-            .map(|_| OperatingPoint {
-                cap_w: rng.uniform(100.0, 400.0),
-                energy_j: rng.uniform(1e5, 1e7),
-                runtime_s: rng.uniform(10.0, 1e4),
-            })
-            .collect();
-        let front = pareto_front(&points);
-        assert!(!front.is_empty());
-        for w in front.windows(2) {
-            assert!(w[0].runtime_s <= w[1].runtime_s);
-            assert!(w[0].energy_j >= w[1].energy_j);
-        }
-        // No front point is dominated by any input point.
-        for f in &front {
-            for p in &points {
-                let dominates = p.runtime_s <= f.runtime_s
-                    && p.energy_j <= f.energy_j
-                    && (p.runtime_s < f.runtime_s || p.energy_j < f.energy_j);
-                assert!(!dominates);
-            }
-        }
     }
 }

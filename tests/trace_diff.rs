@@ -8,14 +8,51 @@
 
 use vasp_power_profiles::core::{benchmarks, flight};
 use vasp_power_profiles::dft::PhaseKind;
+use vasp_power_profiles::powercap::campaign;
 use vasp_power_profiles::stats::{trace_diff, DiffConfig};
+use vasp_power_profiles::substrate::bench::{load_baseline, TraceBaseline};
+
+/// The committed report, whose baselines `vpp trace accept` blessed.
+const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_results.json");
+
+/// Assert `fresh` equals `stored` in every field but `wall_ns`, the one
+/// field that is host noise.
+fn assert_same_but_wall(name: &str, mut fresh: TraceBaseline, mut stored: TraceBaseline) {
+    for b in [&mut fresh, &mut stored] {
+        for agg in std::iter::once(&mut b.aggregate).chain(&mut b.samples) {
+            for s in &mut agg.spans {
+                s.wall_ns = 0;
+            }
+        }
+    }
+    assert_eq!(fresh.samples.len(), stored.samples.len(), "{name}: samples");
+    let pairs = std::iter::once((&fresh.aggregate, &stored.aggregate))
+        .chain(fresh.samples.iter().zip(&stored.samples));
+    for (i, (f, s)) in pairs.enumerate() {
+        assert_eq!(f.spans, s.spans, "{name}: spans of aggregate {i} (0 = whole run)");
+        assert_eq!(f.counters, s.counters, "{name}: counters of aggregate {i}");
+    }
+    assert_eq!(fresh.tolerances, stored.tolerances, "{name}: tolerances");
+}
+
+#[test]
+fn fresh_captures_equal_the_committed_baselines() {
+    for bench in [benchmarks::si256_hse(), benchmarks::b_hr105_hse()] {
+        let stored = load_baseline(COMMITTED, bench.name()).expect("committed baseline");
+        let fresh = flight::capture(&bench, &flight::baseline_cfg(), &flight::baseline_ctx());
+        assert_same_but_wall(bench.name(), fresh, stored);
+    }
+    let stored = load_baseline(COMMITTED, campaign::BASELINE_NAME).expect("committed baseline");
+    let fresh = TraceBaseline::capture(campaign::SAMPLE_SPAN, campaign::baseline_body);
+    assert_same_but_wall(campaign::BASELINE_NAME, fresh, stored);
+}
 
 #[test]
 fn unperturbed_rerun_matches_its_baseline() {
     let bench = benchmarks::b_hr105_hse();
     let ctx = flight::baseline_ctx();
-    let (_, base) = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
-    let (_, rerun) = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
+    let base = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
+    let rerun = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
     let d = trace_diff(&base, &rerun, &DiffConfig::default());
     assert_eq!(d.paired_repeats, flight::BASELINE_REPEATS);
     assert!(!d.has_regressions(), "{:?}", d.top_regression());
@@ -27,12 +64,12 @@ fn unperturbed_rerun_matches_its_baseline() {
 fn collective_and_compute_perturbations_move_disjoint_spans() {
     let bench = benchmarks::b_hr105_hse();
     let ctx = flight::baseline_ctx();
-    let (_, base) = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
+    let base = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
 
     // Direction 1: stretching only network time must surface exactly the
     // collective span's pure-communication window, scaled by the factor.
     let slowed_net = flight::baseline_cfg().perturbed_collective(1.6);
-    let (_, net) = flight::capture(&bench, &slowed_net, &ctx);
+    let net = flight::capture(&bench, &slowed_net, &ctx);
     let d = trace_diff(&base, &net, &DiffConfig::default());
     assert!(d.has_regressions());
     let top = d.top_regression().expect("collective regression ranked first");
@@ -51,7 +88,7 @@ fn collective_and_compute_perturbations_move_disjoint_spans() {
     // Direction 2: a compute-phase slowdown must leave the collective's
     // communication window untouched (waits are excluded from it).
     let slowed_compute = flight::baseline_cfg().perturbed(PhaseKind::ScfIter, 1.6);
-    let (_, compute) = flight::capture(&bench, &slowed_compute, &ctx);
+    let compute = flight::capture(&bench, &slowed_compute, &ctx);
     let d = trace_diff(&base, &compute, &DiffConfig::default());
     let row = d
         .rows
@@ -69,9 +106,9 @@ fn collective_and_compute_perturbations_move_disjoint_spans() {
 fn slowed_phase_is_named_top_ranked_with_counter_deltas() {
     let bench = benchmarks::b_hr105_hse();
     let ctx = flight::baseline_ctx();
-    let (_, base) = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
+    let base = flight::capture(&bench, &flight::baseline_cfg(), &ctx);
     let slowed_cfg = flight::baseline_cfg().perturbed(PhaseKind::ScfIter, 1.6);
-    let (_, slowed) = flight::capture(&bench, &slowed_cfg, &ctx);
+    let slowed = flight::capture(&bench, &slowed_cfg, &ctx);
 
     let d = trace_diff(&base, &slowed, &DiffConfig::default());
     assert!(d.has_regressions());
