@@ -410,18 +410,13 @@ pub fn execute(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel) -> JobRes
     // Assemble per-node channels (peripherals active for the job's span).
     let mut node_traces = Vec::with_capacity(spec.nodes);
     let mut gpu_iter = gpu_traces.into_iter();
-    for (n, node) in nodes.iter().enumerate() {
+    for ((node, cpu), mem) in nodes.iter().zip(cpu_traces).zip(mem_traces) {
         let gpus: Vec<PowerTrace> = (0..gpn).map(|_| gpu_iter.next().unwrap()).collect();
         let periph = PowerTrace::from_segments(
             spec.start_s,
             [(t_end - spec.start_s, node.periph_active_w)],
         );
-        node_traces.push(ComponentTraces::assemble(
-            cpu_traces[n].clone(),
-            mem_traces[n].clone(),
-            gpus,
-            periph,
-        ));
+        node_traces.push(ComponentTraces::assemble(cpu, mem, gpus, periph));
     }
 
     JobResult {

@@ -4,7 +4,8 @@
 
 use crate::benchmarks::{gaasbi64, si128_acfdtr, si256_hse, Benchmark};
 use crate::experiments::{f, render_table};
-use crate::protocol::{measure, RunConfig, StudyContext};
+use crate::protocol::{measure, plan_for, RunConfig, StudyContext};
+use vpp_cluster::execute;
 use vpp_telemetry::TimeSeries;
 
 /// One panel of the figure.
@@ -41,7 +42,10 @@ fn timeline_points(series: &TimeSeries, n_points: usize) -> Vec<(f64, f64)> {
 
 fn panel(bench: &Benchmark, ctx: &StudyContext) -> Panel {
     let m = measure(bench, &RunConfig::nodes(1), ctx);
-    let c = &m.result.node_traces[0];
+    // The component traces come from re-running the representative repeat.
+    let plan = plan_for(bench, m.nodes, ctx);
+    let run = execute(&plan, &m.spec, &ctx.network);
+    let c = &run.node_traces[0];
     // Shares over the steady part of the run (skip init/final barriers).
     let t0 = c.node.start() + 8.0;
     let t1 = c.node.end() - 2.0;

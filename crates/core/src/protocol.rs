@@ -7,9 +7,10 @@
 //! methodology.
 
 use crate::benchmarks::Benchmark;
-use vpp_cluster::{execute, JobResult, JobSpec, NetworkModel};
+use vpp_cluster::{execute, JobSpec, NetworkModel};
 use vpp_dft::{build_plan, CostModel, ParallelLayout, PhaseKind, ScfPlan};
 use vpp_gpu::A100Spec;
+use vpp_node::ComponentTraces;
 use vpp_stats::PowerSummary;
 use vpp_telemetry::{quarantine, DataQuality, QualityConfig, RawSeries, Sampler, TimeSeries};
 
@@ -151,8 +152,10 @@ pub struct Measured {
     pub cap_w: Option<f64>,
     /// Runtime of the representative run, seconds.
     pub runtime_s: f64,
-    /// Full job output of the representative run.
-    pub result: JobResult,
+    /// Job spec of the representative run. A caller that needs its
+    /// traces re-runs it: `execute(&plan_for(bench, m.nodes, ctx),
+    /// &m.spec, &ctx.network)` reproduces the run bit for bit.
+    pub spec: JobSpec,
     /// Node-0 total-power series at the production sampling rate.
     pub node_series: TimeSeries,
     /// KDE summary of the node-0 series.
@@ -173,6 +176,36 @@ pub struct Measured {
 #[must_use]
 pub fn plan_for(bench: &Benchmark, nodes: usize, ctx: &StudyContext) -> ScfPlan {
     build_plan(&bench.params(), &ParallelLayout::nodes(nodes), &ctx.cost)
+}
+
+/// The job spec of repeat `rep` of a measurement: a fresh fleet drawn
+/// from the context's base seed, the config's salt and the repeat index.
+#[must_use]
+pub fn repeat_spec(cfg: &RunConfig, ctx: &StudyContext, rep: usize) -> JobSpec {
+    JobSpec {
+        nodes: cfg.nodes,
+        gpu_power_cap_w: cfg.cap_w,
+        seed: ctx
+            .base_seed
+            .wrapping_add(cfg.seed_salt.wrapping_mul(0x9E37_79B9))
+            .wrapping_add(rep as u64 * 0x1000_0001),
+        start_s: 0.0,
+        init_host_s: 6.0,
+        straggler: None,
+        os_jitter: 0.0,
+        phase_slowdown: cfg.perturb,
+        collective_slowdown: cfg.perturb_collective,
+    }
+}
+
+/// What `measure` keeps of one repeat while the others run: enough to
+/// pick the fastest and sample it, not every node's traces.
+struct Repeat {
+    spec: JobSpec,
+    runtime_s: f64,
+    energy_j: f64,
+    node0: ComponentTraces,
+    span: Option<u64>,
 }
 
 /// A measurement stopped early because its cancellation check fired
@@ -221,34 +254,31 @@ pub fn measure_cancellable(
     // Repeats are independent fleets — fan out on the substrate pool (runs
     // serially when a caller higher in the stack already holds the pool).
     // Each repeat carries its span id forward so the quality gate can
-    // link any re-collection back to the measurement it rescued.
-    let results: Vec<Option<(JobResult, Option<u64>)>> =
+    // link any re-collection back to the measurement it rescued, and
+    // keeps only node 0's traces: the other nodes' matter only through
+    // the energy total, taken before they are dropped.
+    let repeats: Vec<Option<Repeat>> =
         vpp_substrate::par_map((0..ctx.repeats.max(1)).collect(), |rep| {
             if canceled() {
                 return None;
             }
             let mut rep_span = vpp_substrate::span!("protocol.repeat", rep = rep);
-            let spec = JobSpec {
-                nodes: cfg.nodes,
-                gpu_power_cap_w: cfg.cap_w,
-                seed: ctx
-                    .base_seed
-                    .wrapping_add(cfg.seed_salt.wrapping_mul(0x9E37_79B9))
-                    .wrapping_add(rep as u64 * 0x1000_0001),
-                start_s: 0.0,
-                init_host_s: 6.0,
-                straggler: None,
-                os_jitter: 0.0,
-                phase_slowdown: cfg.perturb,
-                collective_slowdown: cfg.perturb_collective,
-            };
+            let spec = repeat_spec(cfg, ctx, rep);
             let result = execute(&plan, &spec, &ctx.network);
             rep_span.record("runtime_s", result.runtime_s);
-            Some((result, rep_span.id()))
+            let (runtime_s, energy_j) = (result.runtime_s, result.energy_j());
+            let mut nodes = result.node_traces.into_iter();
+            Some(Repeat {
+                spec,
+                runtime_s,
+                energy_j,
+                node0: nodes.next().expect("at least one node"),
+                span: rep_span.id(),
+            })
         });
 
-    let mut completed = Vec::with_capacity(results.len());
-    for r in results {
+    let mut completed = Vec::with_capacity(repeats.len());
+    for r in repeats {
         match r {
             Some(done) => completed.push(done),
             None => {
@@ -258,9 +288,9 @@ pub fn measure_cancellable(
             }
         }
     }
-    let (best, best_span) = completed
+    let best = completed
         .into_iter()
-        .min_by(|a, b| a.0.runtime_s.total_cmp(&b.0.runtime_s))
+        .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
         .expect("at least one repeat");
 
     // Short runs starve the production 2-s cadence; fall back to a
@@ -282,7 +312,7 @@ pub fn measure_cancellable(
         quarantine(&RawSeries::from_series(series), &cfg).quality
     };
     let mut active = sampler;
-    let mut node_series = active.sample(&best.node_traces[0].node);
+    let mut node_series = active.sample(&best.node0.node);
     let mut node_quality = assess(&node_series, active.interval_s);
     for attempt in 1..=2u64 {
         if node_quality.coverage >= ctx.min_coverage {
@@ -299,11 +329,11 @@ pub fn measure_cancellable(
                 ("coverage", node_quality.coverage.into()),
             ]
         });
-        if let Some(id) = best_span {
+        if let Some(id) = best.span {
             rc_span.record("link_span", id);
         }
         active.seed = sampler.seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
-        node_series = active.sample(&best.node_traces[0].node);
+        node_series = active.sample(&best.node0.node);
         node_quality = assess(&node_series, active.interval_s);
         rc_span.record("new_coverage", node_quality.coverage);
     }
@@ -320,16 +350,16 @@ pub fn measure_cancellable(
             vpp_substrate::trace::SpanGuard::open("protocol.rescue_recollect", || {
                 vec![("coverage", node_quality.coverage.into())]
             });
-        if let Some(id) = best_span {
+        if let Some(id) = best.span {
             rescue_span.record("link_span", id);
         }
         active = Sampler::ideal((best.runtime_s / 64.0).max(0.1));
-        node_series = active.sample(&best.node_traces[0].node);
+        node_series = active.sample(&best.node0.node);
         node_quality = assess(&node_series, active.interval_s);
         rescue_span.record("new_coverage", node_quality.coverage);
     }
     vpp_substrate::trace::gauge("protocol.coverage", node_quality.coverage);
-    let gpu_series = active.sample(&best.node_traces[0].gpus[0]);
+    let gpu_series = active.sample(&best.node0.gpus[0]);
     assert!(
         node_series.len() >= 8,
         "series too short to summarise ({} samples) — benchmark {} ran only {:.1}s",
@@ -339,7 +369,7 @@ pub fn measure_cancellable(
     );
 
     measure_span.record("runtime_s", best.runtime_s);
-    measure_span.record("energy_j", best.energy_j());
+    measure_span.record("energy_j", best.energy_j);
     measure_span.record("coverage", node_quality.coverage);
     measure_span.record("flagged", quality_flagged);
 
@@ -348,11 +378,11 @@ pub fn measure_cancellable(
         nodes: cfg.nodes,
         cap_w: cfg.cap_w,
         runtime_s: best.runtime_s,
-        energy_j: best.energy_j(),
+        spec: best.spec,
+        energy_j: best.energy_j,
         node_summary: PowerSummary::from_samples(node_series.values()),
         gpu_summary: PowerSummary::from_samples(gpu_series.values()),
         node_series,
-        result: best,
         node_quality,
         quality_flagged,
     })
@@ -384,21 +414,28 @@ mod tests {
         let plan = plan_for(&bench, 1, &ctx);
         let mut runtimes = Vec::new();
         for rep in 0..ctx.repeats {
-            let spec = vpp_cluster::JobSpec {
-                nodes: 1,
-                gpu_power_cap_w: None,
-                seed: ctx.base_seed.wrapping_add(rep as u64 * 0x1000_0001),
-                start_s: 0.0,
-                init_host_s: 6.0,
-                straggler: None,
-                os_jitter: 0.0,
-                phase_slowdown: None,
-                collective_slowdown: None,
-            };
+            let spec = repeat_spec(&RunConfig::nodes(1), &ctx, rep);
             runtimes.push(execute(&plan, &spec, &ctx.network).runtime_s);
         }
         let min = runtimes.iter().copied().fold(f64::INFINITY, f64::min);
         assert!((m.runtime_s - min).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rerunning_the_kept_spec_reproduces_the_representative_run() {
+        let bench = benchmarks::b_hr105_hse();
+        let ctx = StudyContext::quick();
+        for cfg in [
+            RunConfig::nodes(1),
+            RunConfig::capped(2, 200.0),
+            RunConfig::nodes(1).perturbed(vpp_dft::PhaseKind::ScfIter, 1.5),
+        ] {
+            let m = measure(&bench, &cfg, &ctx);
+            let plan = plan_for(&bench, m.nodes, &ctx);
+            let rerun = execute(&plan, &m.spec, &ctx.network);
+            assert_eq!(rerun.runtime_s.to_bits(), m.runtime_s.to_bits(), "{cfg:?}");
+            assert_eq!(rerun.energy_j().to_bits(), m.energy_j.to_bits(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * With 1 repeat (or a degenerate CI), the exact relative delta alone
 //!   is compared against the floor.
 //! * Span counts and session counters are integers and compare exactly.
+//!   A span's count is compared in each paired repeat as well as over
+//!   the whole run, so a span that moves into or out of its repeat's
+//!   subtree is a regression even when the whole-run count holds.
 //! * Wall-clock totals (`wall_ns`) are host noise; they are reported as
 //!   context rows but can never be significant and never fail a diff.
 //! * A per-span tolerance blessed into the baseline (`vpp trace accept
@@ -224,18 +227,33 @@ pub fn diff(base: &TraceBaseline, current: &TraceBaseline, cfg: &DiffConfig) -> 
             });
         }
 
-        // Span count: exact integer comparison.
-        let (bc, cc) = (b.map_or(0, |s| s.count), c.map_or(0, |s| s.count));
-        if bc != cc {
+        // Span count: exact integer comparison, whole-run and per paired
+        // repeat. A span that moved into or out of its repeat's subtree
+        // leaves the whole-run count equal; its row then shows the first
+        // repeat that differs.
+        let count = |s: Option<&vpp_substrate::trace::SpanStat>| s.map_or(0, |s| s.count);
+        let (bc, cc) = (count(b), count(c));
+        let moved = (0..paired)
+            .map(|i| {
+                let bs = count(base.samples[i].span(name));
+                let cs = count(current.samples[i].span(name));
+                (bs, cs)
+            })
+            .find(|(bs, cs)| bs != cs);
+        let shown = if bc != cc { Some((bc, cc)) } else { moved };
+        if let Some((bv, cv)) = shown {
             rows.push(DiffRow {
                 span: name.to_string(),
                 metric: "count",
-                base: bc as f64,
-                current: cc as f64,
-                rel_delta: rel_delta(bc as f64, cc as f64),
+                base: bv as f64,
+                current: cv as f64,
+                rel_delta: rel_delta(bv as f64, cv as f64),
                 ci: None,
                 significant: true,
-                regression: cc > bc,
+                // Fewer spans over the whole run is an improvement. The
+                // same number in other subtrees is not: the re-run lost
+                // the structure the paired comparison relies on.
+                regression: cc >= bc,
             });
         }
 
@@ -476,6 +494,38 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn a_span_that_leaves_its_repeat_subtree_is_a_count_regression() {
+        // A campaign capture whose partitions ran on pool workers: the
+        // whole-run aggregate still counts every `campaign.partition`
+        // span, but no repeat sample holds its 12 any more.
+        let sample = |partitions: u64| {
+            let mut spans = vec![
+                ("campaign.policy", 3, 0.0, 0.0),
+                ("campaign.run", 1, 0.0, 0.0),
+            ];
+            if partitions > 0 {
+                spans.push(("campaign.partition", partitions, 0.0, 0.0));
+            }
+            agg(&spans)
+        };
+        let base = baseline((0..3).map(|_| sample(12)).collect());
+        let mut cur = baseline((0..3).map(|_| sample(0)).collect());
+        cur.aggregate = base.aggregate.clone();
+        let d = diff(&base, &cur, &DiffConfig::default());
+        let row = d
+            .rows
+            .iter()
+            .find(|r| r.span == "campaign.partition" && r.metric == "count")
+            .expect("a count row for the span that left its repeats");
+        assert!(row.significant && row.regression, "{row:?}");
+        // The row shows the first repeat that differs.
+        assert_eq!((row.base, row.current), (12.0, 0.0));
+        let top = d.top_regression().expect("the moved span regresses");
+        assert_eq!(top.span, "campaign.partition");
+        assert_eq!(d.significant().len(), 1, "{:?}", d.significant());
     }
 
     #[test]

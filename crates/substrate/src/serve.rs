@@ -116,8 +116,8 @@ const WORKERS: usize = 2;
 /// How often an idle worker re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// How long a connection may idle before its next request, how long a
-/// request may take to arrive from its first byte, and the socket write
-/// timeout.
+/// request may take to arrive from its first byte, the socket write
+/// timeout, and how long a [`scrape_peer`] answer may take to arrive.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
@@ -1773,12 +1773,14 @@ fn merge_exposition(
 /// Minimal bounded HTTP GET, the one client behind federation scrapes
 /// and `vpp logs`. Accepts `host:port` or `http://host:port[/path]` (the
 /// path defaults to `/metrics`) and returns the status code, the head
-/// (status line and headers) and the body. Connecting, and each read and
-/// write, times out after 2 s.
+/// (status line and headers) and the body. Connecting and the request
+/// write each time out after 2 s, and the whole response must arrive
+/// within 2 s of the request: a per-read timeout alone would let a peer
+/// sending a byte a second hold the caller for as long as it likes.
 ///
 /// # Errors
-/// If the peer cannot be reached, the response is malformed, or it is
-/// longer than 4 MiB.
+/// If the peer cannot be reached, the response is malformed, it is
+/// longer than 4 MiB, or it is not complete within the deadline.
 pub fn scrape_peer(peer: &str) -> Result<(u16, String, String), String> {
     let rest = peer.strip_prefix("http://").unwrap_or(peer);
     let (hostport, path) = match rest.find('/') {
@@ -1792,21 +1794,31 @@ pub fn scrape_peer(peer: &str) -> Result<(u16, String, String), String> {
         .ok_or_else(|| format!("resolve {hostport}: no address"))?;
     let mut stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)
         .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: {hostport}\r\nConnection: close\r\n\r\n"
     )
     .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .take(MAX_PEER_RESPONSE + 1)
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    if raw.len() as u64 > MAX_PEER_RESPONSE {
-        return Err(format!("{addr} sent more than {MAX_PEER_RESPONSE} bytes"));
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let (mut raw, mut chunk) = (Vec::new(), [0u8; 16 * 1024]);
+    loop {
+        match read_by(&mut stream, &mut chunk, deadline) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&chunk[..n]),
+            Err(e) if timeout_kind(&e) => {
+                return Err(format!(
+                    "read from {addr}: no complete response within {} s",
+                    IO_TIMEOUT.as_secs()
+                ))
+            }
+            Err(e) => return Err(format!("read from {addr}: {e}")),
+        }
+        if raw.len() as u64 > MAX_PEER_RESPONSE {
+            return Err(format!("{addr} sent more than {MAX_PEER_RESPONSE} bytes"));
+        }
     }
+    let raw = String::from_utf8(raw).map_err(|e| format!("read from {addr}: {e}"))?;
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .or_else(|| raw.split_once("\n\n"))

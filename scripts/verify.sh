@@ -36,6 +36,11 @@ echo "==> cargo test -q --offline -- --test-threads=8 (catches shared state betw
 # recorder; 8 threads (the default on an 8-core machine) exposed it.
 cargo test -q --offline --workspace -- --test-threads=8
 
+echo "==> perfbench tests (its own workspace: the workspace test runs skip it)"
+# A change to a public item perfbench calls would otherwise first fail
+# in the benchmark pipeline.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> examples smoke: every example must exit 0"
 # scrape_metrics needs a live server; the serve smoke below runs it.
 for EXAMPLE in examples/*.rs; do

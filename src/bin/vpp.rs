@@ -66,7 +66,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel, Straggler};
+use vasp_power_profiles::cluster::{execute, JobResult, JobSpec, NetworkModel, Straggler};
 use vasp_power_profiles::core::{benchmarks, flight, protocol, ProtocolJobHandler};
 use vasp_power_profiles::dft::{parse_incar, parse_kpoints, parse_poscar, PhaseKind};
 use vasp_power_profiles::powercap::policy::FixedCap;
@@ -694,9 +694,8 @@ fn cmd_phases(p: &Parsed) -> Result<(), String> {
 }
 
 /// Sum of node-level energy over a sim-time window, joules.
-fn window_energy_j(m: &protocol::Measured, t0: f64, t1: f64) -> f64 {
-    m.result
-        .node_traces
+fn window_energy_j(run: &JobResult, t0: f64, t1: f64) -> f64 {
+    run.node_traces
         .iter()
         .map(|c| c.node.energy_between(t0, t1))
         .sum()
@@ -704,10 +703,10 @@ fn window_energy_j(m: &protocol::Measured, t0: f64, t1: f64) -> f64 {
 
 /// Per-span detail column: sim-time window plus attributed energy for
 /// phase spans, the recorded sim runtime for execution-level spans.
-fn span_detail(rec: &trace::SpanRecord, m: &protocol::Measured) -> String {
+fn span_detail(rec: &trace::SpanRecord, run: &JobResult) -> String {
     if let (Some(t0), Some(t1)) = (rec.field_f64("sim_t0"), rec.field_f64("sim_t1")) {
-        let e = window_energy_j(m, t0, t1);
-        let total = m.result.energy_j().max(1e-12);
+        let e = window_energy_j(run, t0, t1);
+        let total = run.energy_j().max(1e-12);
         return format!(
             "sim {t0:>7.1} -> {t1:>7.1} s  {:>9.1} kJ ({:>4.1}%)",
             e / 1e3,
@@ -725,20 +724,20 @@ fn print_trace_line(label: &str, depth: usize, wall_ms: f64, detail: &str) {
     println!("{padded:<44} {wall_ms:>9.3}  {detail}");
 }
 
-fn print_span(node: &trace::SpanNode, depth: usize, m: &protocol::Measured) {
+fn print_span(node: &trace::SpanNode, depth: usize, run: &JobResult) {
     let label = match node.record.field_f64("index") {
         Some(i) => format!("{}[{}]", node.record.name, i as u64),
         None => node.record.name.to_string(),
     };
     let wall_ms = node.record.duration_ns().map_or(f64::NAN, |d| d as f64 / 1e6);
-    print_trace_line(&label, depth, wall_ms, &span_detail(&node.record, m));
-    print_span_children(&node.children, depth + 1, m);
+    print_trace_line(&label, depth, wall_ms, &span_detail(&node.record, run));
+    print_span_children(&node.children, depth + 1, run);
 }
 
 /// Print a sibling list, collapsing runs of more than four same-named
 /// spans (SCF iterations, collectives) into one aggregate row so deep
 /// traces stay readable.
-fn print_span_children(children: &[trace::SpanNode], depth: usize, m: &protocol::Measured) {
+fn print_span_children(children: &[trace::SpanNode], depth: usize, run: &JobResult) {
     let mut i = 0;
     while i < children.len() {
         let name = children[i].record.name;
@@ -749,7 +748,7 @@ fn print_span_children(children: &[trace::SpanNode], depth: usize, m: &protocol:
         let group = &children[i..j];
         if group.len() <= 4 {
             for n in group {
-                print_span(n, depth, m);
+                print_span(n, depth, run);
             }
         } else {
             let wall_ms: f64 = group
@@ -766,8 +765,8 @@ fn print_span_children(children: &[trace::SpanNode], depth: usize, m: &protocol:
                 .filter_map(|n| n.record.field_f64("sim_t1"))
                 .fold(f64::NEG_INFINITY, f64::max);
             let detail = if t0.is_finite() && t1.is_finite() {
-                let e = window_energy_j(m, t0, t1);
-                let total = m.result.energy_j().max(1e-12);
+                let e = window_energy_j(run, t0, t1);
+                let total = run.energy_j().max(1e-12);
                 format!(
                     "sim {t0:>7.1} -> {t1:>7.1} s  {:>9.1} kJ ({:>4.1}%)",
                     e / 1e3,
@@ -1121,6 +1120,10 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
         print!("{body}");
         return Ok(());
     }
+    // The tree's energy column reads the run's traces: re-run the
+    // measured repeat, after the session closed so it records nothing.
+    let plan = protocol::plan_for(&bench, m.nodes, &c);
+    let run = execute(&plan, &m.spec, &c.network);
     println!("workload    : {} on {nodes} node(s)", bench.name());
     if let Some(cap) = cap {
         println!("GPU cap     : {cap:.0} W");
@@ -1136,7 +1139,7 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
     println!();
     println!("{:<44} {:>9}  detail", "span", "wall ms");
     for root in report.span_tree() {
-        print_span(&root, 0, &m);
+        print_span(&root, 0, &run);
     }
     if !report.counters.is_empty() {
         println!();

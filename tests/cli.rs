@@ -396,3 +396,34 @@ fn logs_stops_reading_at_the_response_bound() {
     assert!(out.stdout.is_empty(), "printed {} bytes", out.stdout.len());
     assert!(sent < FLOOD_BYTES, "vpp logs read the whole flood ({sent} bytes)");
 }
+
+#[test]
+fn logs_gives_up_on_a_trickling_service_at_the_deadline() {
+    // A service that answers a status line and then sends one byte per
+    // 250 ms for 10 s: each read arrives well inside the per-read
+    // timeout, so only a deadline on the whole response stops it.
+    let trickle = std::net::TcpListener::bind("127.0.0.1:0").expect("bind trickling service");
+    let addr = trickle.local_addr().expect("local addr").to_string();
+    let trickler = std::thread::spawn(move || {
+        let (mut s, _) = trickle.accept().expect("vpp logs connects");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut head, mut byte) = (Vec::new(), [0u8; 1]);
+        while !head.ends_with(b"\r\n\r\n") && s.read(&mut byte).is_ok_and(|n| n == 1) {
+            head.push(byte[0]);
+        }
+        let t0 = Instant::now();
+        if s.write_all(b"HTTP/1.1 200 OK\r\n").is_ok() {
+            while t0.elapsed() < Duration::from_secs(10) && s.write_all(b"x").is_ok() {
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        }
+    });
+    let t0 = Instant::now();
+    let out = vpp().args(["logs", &addr]).output().expect("vpp runs");
+    let waited = t0.elapsed();
+    trickler.join().expect("trickling service");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("no complete response within 2 s"), "{err}");
+    assert!(waited < Duration::from_secs(4), "waited {waited:?}");
+}

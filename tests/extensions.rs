@@ -62,7 +62,9 @@ fn no_reproduced_workload_thermally_throttles() {
     let ctx = protocol::StudyContext::quick();
     for bench in [benchmarks::si256_hse(), benchmarks::si128_acfdtr()] {
         let m = protocol::measure(&bench, &protocol::RunConfig::nodes(1), &ctx);
-        for (i, gpu) in m.result.node_traces[0].gpus.iter().enumerate() {
+        let plan = protocol::plan_for(&bench, m.nodes, &ctx);
+        let run = execute(&plan, &m.spec, &ctx.network);
+        for (i, gpu) in run.node_traces[0].gpus.iter().enumerate() {
             let frac = thermal.throttle_fraction(gpu);
             assert_eq!(frac, 0.0, "{} GPU {i} thermally throttled", bench.name());
             let peak = thermal.peak_temperature_c(gpu);

@@ -2,6 +2,7 @@
 //! the full simulation pipeline. These are the "shape" checks DESIGN.md §4
 //! promises: who wins, by roughly what factor, where the knees fall.
 
+use vasp_power_profiles::cluster::execute;
 use vasp_power_profiles::core::{benchmarks, protocol};
 use vasp_power_profiles::stats::parallel_efficiency;
 
@@ -119,8 +120,12 @@ fn power_flat_while_efficiency_holds() {
 #[test]
 fn gpus_carry_over_seventy_percent_of_hot_workloads() {
     // Paper Fig. 3.
-    let m = measure_1node(&benchmarks::si256_hse());
-    let c = &m.result.node_traces[0];
+    let bench = benchmarks::si256_hse();
+    let m = measure_1node(&bench);
+    let ctx = protocol::StudyContext::quick();
+    let plan = protocol::plan_for(&bench, m.nodes, &ctx);
+    let run = execute(&plan, &m.spec, &ctx.network);
+    let c = &run.node_traces[0];
     let t0 = c.node.start() + 8.0;
     let t1 = c.node.end() - 2.0;
     let gpu: f64 = c.gpus.iter().map(|g| g.energy_between(t0, t1)).sum();
