@@ -7,7 +7,7 @@
 //! DESIGN.md calls out, and `benches/substrate.rs` covers the hot paths of
 //! the simulation substrate itself.
 
-use vpp_cluster::{execute, JobResult, JobSpec, NetworkModel};
+use vpp_cluster::{execute_node0, JobResult, JobSpec, NetworkModel};
 use vpp_core::benchmarks::Benchmark;
 use vpp_core::protocol::StudyContext;
 use vpp_dft::{build_plan, ParallelLayout, ScfPlan};
@@ -28,12 +28,13 @@ pub fn plan(bench: &Benchmark, nodes: usize) -> ScfPlan {
     )
 }
 
-/// Run a plan once on a fresh fleet.
+/// Run a plan once on a fresh fleet, keeping node 0's channels (the
+/// runtime and energy still cover every node).
 #[must_use]
 pub fn run(plan: &ScfPlan, nodes: usize, cap_w: Option<f64>) -> JobResult {
     let mut spec = JobSpec::new(nodes);
     spec.gpu_power_cap_w = cap_w;
-    execute(plan, &spec, &NetworkModel::perlmutter())
+    execute_node0(plan, &spec, &NetworkModel::perlmutter())
 }
 
 /// A compact silicon workload used where the benchmark identity is not the

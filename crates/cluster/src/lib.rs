@@ -8,10 +8,12 @@
 //!
 //! The output is one [`vpp_node::ComponentTraces`] per node — exactly the
 //! channels the paper's monitoring stack records — plus the job runtime and
-//! energy.
+//! energy. [`execute_node0`] runs the same job for a reader of node 0
+//! alone: it hands back node 0's channels and folds the other nodes into
+//! the energy total.
 
 pub mod job;
 pub mod network;
 
-pub use job::{execute, JobResult, JobSpec, Straggler};
+pub use job::{execute, execute_node0, JobResult, JobSpec, Straggler};
 pub use network::NetworkModel;

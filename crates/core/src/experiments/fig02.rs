@@ -8,7 +8,7 @@
 use crate::benchmarks::si256_hse;
 use crate::experiments::{f, render_table};
 use crate::protocol::{plan_for, StudyContext};
-use vpp_cluster::{execute, JobSpec};
+use vpp_cluster::{execute_node0, JobSpec};
 use vpp_stats::{fwhm, high_power_mode};
 use vpp_telemetry::Sampler;
 
@@ -49,7 +49,7 @@ pub fn run(ctx: &StudyContext) -> Fig02 {
         phase_slowdown: None,
         collective_slowdown: None,
     };
-    let result = execute(&plan, &spec, &ctx.network);
+    let result = execute_node0(&plan, &spec, &ctx.network);
     let gpu = &result.node_traces[0].gpus[0];
 
     let base = Sampler::ideal(0.1).sample(gpu);

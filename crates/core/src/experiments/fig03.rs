@@ -5,7 +5,7 @@
 use crate::benchmarks::{gaasbi64, si128_acfdtr, si256_hse, Benchmark};
 use crate::experiments::{f, render_table};
 use crate::protocol::{measure, plan_for, RunConfig, StudyContext};
-use vpp_cluster::execute;
+use vpp_cluster::execute_node0;
 use vpp_telemetry::TimeSeries;
 
 /// One panel of the figure.
@@ -44,7 +44,7 @@ fn panel(bench: &Benchmark, ctx: &StudyContext) -> Panel {
     let m = measure(bench, &RunConfig::nodes(1), ctx);
     // The component traces come from re-running the representative repeat.
     let plan = plan_for(bench, m.nodes, ctx);
-    let run = execute(&plan, &m.spec, &ctx.network);
+    let run = execute_node0(&plan, &m.spec, &ctx.network);
     let c = &run.node_traces[0];
     // Shares over the steady part of the run (skip init/final barriers).
     let t0 = c.node.start() + 8.0;

@@ -6,7 +6,7 @@
 
 use crate::experiments::{f, render_table};
 use crate::protocol::StudyContext;
-use vpp_cluster::{execute, JobSpec};
+use vpp_cluster::{execute_node0, JobSpec};
 use vpp_dft::{build_plan, Incar, ParallelLayout, Supercell, SystemParams};
 use vpp_sim::PowerTrace;
 use vpp_stats::{fwhm, high_power_mode};
@@ -58,7 +58,7 @@ pub fn run(ctx: &StudyContext) -> Fig06 {
                 phase_slowdown: None,
                 collective_slowdown: None,
             };
-            let res = execute(&plan, &spec, &ctx.network);
+            let res = execute_node0(&plan, &spec, &ctx.network);
             let c = &res.node_traces[0];
             let node_series = sampler.sample(&c.node);
             let gpu4 = PowerTrace::sum(&c.gpus.iter().collect::<Vec<_>>());

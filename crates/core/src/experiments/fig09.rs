@@ -7,7 +7,7 @@
 
 use crate::experiments::{f, render_table};
 use crate::protocol::StudyContext;
-use vpp_cluster::{execute, JobSpec};
+use vpp_cluster::{execute_node0, JobSpec};
 use vpp_dft::{build_plan, Method, ParallelLayout, Supercell, SystemParams};
 use vpp_stats::{high_power_mode, ViolinStats};
 use vpp_telemetry::Sampler;
@@ -52,7 +52,7 @@ pub fn run(ctx: &StudyContext) -> Fig09 {
                 phase_slowdown: None,
                 collective_slowdown: None,
             };
-            let res = execute(&plan, &spec, &ctx.network);
+            let res = execute_node0(&plan, &spec, &ctx.network);
             let series = sampler.sample(&res.node_traces[0].node);
             rows.push(MethodRow {
                 method: method.label(),

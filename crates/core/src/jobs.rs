@@ -9,15 +9,16 @@
 //! [`protocol::measure`](crate::protocol::measure) under the job's own trace session.
 
 use crate::benchmarks::{suite, Benchmark};
-use crate::protocol::{check_cap_w, measure_cancellable, Canceled, RunConfig, StudyContext};
+use crate::protocol::{
+    check_cap_w, check_nodes, measure_cancellable, Canceled, RunConfig, StudyContext,
+};
 use vpp_stats::PowerSummary;
 use vpp_substrate::json::Value;
 use vpp_substrate::serve::{CancelToken, JobHandler};
 
-/// Bounds a submitted spec must respect. Nodes cover the paper's scaling
-/// sweep with headroom; caps are checked by [`check_cap_w`]; repeats and
-/// sampling keep one job's cost bounded on a shared service.
-const MAX_NODES: usize = 128;
+/// Bounds a submitted spec must respect. Nodes are checked by
+/// [`check_nodes`] and caps by [`check_cap_w`]; repeats and sampling keep
+/// one job's cost bounded on a shared service.
 const MAX_REPEATS: usize = 16;
 const SAMPLE_INTERVAL_RANGE_S: (f64, f64) = (0.01, 10.0);
 
@@ -80,11 +81,8 @@ impl ServiceJobSpec {
         }
         let nodes = match doc.get("nodes") {
             None => 1,
-            Some(v) => as_count(v, "nodes")?,
+            Some(v) => check_nodes("'nodes'", as_count(v, "nodes")?)?,
         };
-        if nodes == 0 || nodes > MAX_NODES {
-            return Err(format!("'nodes' must be in 1..={MAX_NODES}, got {nodes}"));
-        }
         let cap_w = match doc.get("cap_w") {
             None => None,
             Some(v) => {

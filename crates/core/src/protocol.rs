@@ -7,7 +7,7 @@
 //! methodology.
 
 use crate::benchmarks::Benchmark;
-use vpp_cluster::{execute, JobSpec, NetworkModel};
+use vpp_cluster::{execute_node0, JobSpec, NetworkModel};
 use vpp_dft::{build_plan, CostModel, ParallelLayout, PhaseKind, ScfPlan};
 use vpp_gpu::A100Spec;
 use vpp_node::ComponentTraces;
@@ -89,6 +89,25 @@ pub fn check_cap_w(what: &str, cap_w: f64) -> Result<f64, String> {
     }
 }
 
+/// Most nodes one measurement may run on: the paper's scaling sweep tops
+/// out at 16, and one execution holds every node's traces, so the bound
+/// keeps a single request's cost finite on a shared host.
+pub const MAX_NODES: usize = 128;
+
+/// Check a user-supplied node count against `1..=`[`MAX_NODES`]. `what`
+/// names the input in the message, e.g. `'nodes'` or `--nodes`.
+///
+/// # Errors
+/// `"{what} must be in 1..=128, got {nodes}"` for a count outside the
+/// range.
+pub fn check_nodes(what: &str, nodes: usize) -> Result<usize, String> {
+    if (1..=MAX_NODES).contains(&nodes) {
+        Ok(nodes)
+    } else {
+        Err(format!("{what} must be in 1..={MAX_NODES}, got {nodes}"))
+    }
+}
+
 /// One measurement request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
@@ -153,8 +172,9 @@ pub struct Measured {
     /// Runtime of the representative run, seconds.
     pub runtime_s: f64,
     /// Job spec of the representative run. A caller that needs its
-    /// traces re-runs it: `execute(&plan_for(bench, m.nodes, ctx),
-    /// &m.spec, &ctx.network)` reproduces the run bit for bit.
+    /// traces re-runs it: `execute_node0(&plan_for(bench, m.nodes, ctx),
+    /// &m.spec, &ctx.network)` reproduces the run bit for bit (`execute`
+    /// too, with every node's channels).
     pub spec: JobSpec,
     /// Node-0 total-power series at the production sampling rate.
     pub node_series: TimeSeries,
@@ -255,8 +275,9 @@ pub fn measure_cancellable(
     // serially when a caller higher in the stack already holds the pool).
     // Each repeat carries its span id forward so the quality gate can
     // link any re-collection back to the measurement it rescued, and
-    // keeps only node 0's traces: the other nodes' matter only through
-    // the energy total, taken before they are dropped.
+    // reads only node 0's traces: the other nodes matter only through
+    // the energy total, which the executor folds without building their
+    // node channels.
     let repeats: Vec<Option<Repeat>> =
         vpp_substrate::par_map((0..ctx.repeats.max(1)).collect(), |rep| {
             if canceled() {
@@ -264,7 +285,7 @@ pub fn measure_cancellable(
             }
             let mut rep_span = vpp_substrate::span!("protocol.repeat", rep = rep);
             let spec = repeat_spec(cfg, ctx, rep);
-            let result = execute(&plan, &spec, &ctx.network);
+            let result = execute_node0(&plan, &spec, &ctx.network);
             rep_span.record("runtime_s", result.runtime_s);
             let (runtime_s, energy_j) = (result.runtime_s, result.energy_j());
             let mut nodes = result.node_traces.into_iter();
@@ -392,6 +413,7 @@ pub fn measure_cancellable(
 mod tests {
     use super::*;
     use crate::benchmarks;
+    use vpp_cluster::execute;
 
     #[test]
     fn measure_produces_consistent_summaries() {

@@ -1,6 +1,8 @@
 //! Heap guard for `protocol::measure`: a measurement may hold little more
-//! than one execution of its own representative run while it works, and
-//! keeps no traces once it returns.
+//! than one node-0 execution of its own representative run while it
+//! works, and keeps no traces once it returns; and a node-0 execution
+//! must stay well under an all-node one, which also builds every node's
+//! node-total channel.
 //!
 //! The counting allocator below counts only the bytes of the thread that
 //! allocates them, and the measurement runs under `pool::serial`, so the
@@ -9,7 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use vpp_cluster::execute;
+use vpp_cluster::{execute, execute_node0};
 use vpp_core::benchmarks::si256_hse;
 use vpp_core::protocol::{measure, plan_for, RunConfig, StudyContext};
 
@@ -90,16 +92,26 @@ fn measure_peaks_near_one_execute_and_keeps_no_traces() {
     let (m, measure_peak, kept) =
         vpp_substrate::pool::serial(|| counted(|| measure(&bench, &cfg, &ctx)));
     let plan = plan_for(&bench, m.nodes, &ctx);
-    let (run, execute_peak, _) = counted(|| execute(&plan, &m.spec, &ctx.network));
+    let (run, node0_peak, _) = counted(|| execute_node0(&plan, &m.spec, &ctx.network));
     assert_eq!(run.runtime_s.to_bits(), m.runtime_s.to_bits());
+    assert_eq!(run.energy_j().to_bits(), m.energy_j.to_bits());
+    drop(run);
+    let (run, all_nodes_peak, _) = counted(|| execute(&plan, &m.spec, &ctx.network));
+    assert_eq!(run.energy_j().to_bits(), m.energy_j.to_bits());
     drop(run);
 
     let mb = |bytes: f64| bytes / 1e6;
     assert!(
-        measure_peak <= 1.25 * execute_peak,
-        "measure peaked at {:.1} MB, one execute of its run at {:.1} MB",
+        measure_peak <= 1.25 * node0_peak,
+        "measure peaked at {:.2} MB, one node-0 execute of its run at {:.2} MB",
         mb(measure_peak),
-        mb(execute_peak)
+        mb(node0_peak)
+    );
+    assert!(
+        node0_peak <= 0.8 * all_nodes_peak,
+        "a node-0 execute peaked at {:.2} MB, an all-node one at {:.2} MB",
+        mb(node0_peak),
+        mb(all_nodes_peak)
     );
     assert!(
         kept < 0.1e6,

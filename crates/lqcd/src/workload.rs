@@ -161,7 +161,7 @@ impl MilcWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpp_cluster::{execute, JobSpec};
+    use vpp_cluster::{execute_node0, JobSpec};
     use vpp_stats::high_power_mode;
     use vpp_telemetry::Sampler;
 
@@ -184,7 +184,7 @@ mod tests {
         let mut spec = JobSpec::new(nodes);
         spec.gpu_power_cap_w = cap;
         spec.init_host_s = 2.0;
-        execute(&plan, &spec, &net)
+        execute_node0(&plan, &spec, &net)
     }
 
     #[test]

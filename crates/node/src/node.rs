@@ -151,6 +151,21 @@ pub struct ComponentTraces {
     pub gpus: Vec<PowerTrace>,
 }
 
+/// The inputs of a node-total channel, in the one order that both
+/// [`ComponentTraces::assemble`] and [`ComponentTraces::node_energy`] merge
+/// them: the order fixes the merge's float rounding, so the two agree bit
+/// for bit only while they share it.
+fn node_parts<'a>(
+    cpu: &'a PowerTrace,
+    mem: &'a PowerTrace,
+    gpus: &'a [PowerTrace],
+    periph: &'a PowerTrace,
+) -> Vec<&'a PowerTrace> {
+    let mut parts = vec![cpu, mem, periph];
+    parts.extend(gpus);
+    parts
+}
+
 impl ComponentTraces {
     /// Assemble the node-total channel from component traces plus the
     /// peripheral envelope (not individually metered).
@@ -161,15 +176,27 @@ impl ComponentTraces {
         gpus: Vec<PowerTrace>,
         periph: PowerTrace,
     ) -> Self {
-        let mut parts: Vec<&PowerTrace> = vec![&cpu, &mem, &periph];
-        parts.extend(gpus.iter());
-        let node = PowerTrace::sum(&parts);
+        let node = PowerTrace::sum(&node_parts(&cpu, &mem, &gpus, &periph));
         Self {
             node,
             cpu,
             mem,
             gpus,
         }
+    }
+
+    /// The energy of the node-total channel [`ComponentTraces::assemble`]
+    /// would build from the same components, bit for bit, without building
+    /// it: for a reader of one node's channels that still needs every
+    /// node's energy.
+    #[must_use]
+    pub fn node_energy(
+        cpu: &PowerTrace,
+        mem: &PowerTrace,
+        gpus: &[PowerTrace],
+        periph: &PowerTrace,
+    ) -> f64 {
+        PowerTrace::sum_energy(&node_parts(cpu, mem, gpus, periph))
     }
 
     /// Sum of the four GPU channels (Fig. 6 reports "per four GPUs").
@@ -259,6 +286,27 @@ mod tests {
         let c = ComponentTraces::assemble(cpu, mem, gpus, periph);
         assert!((c.node.power_at(1.0) - 670.0).abs() < 1e-9);
         assert!((c.gpu_total().power_at(1.0) - 410.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn node_energy_is_the_bits_of_the_assembled_node_channel() {
+        // Offset GPU traces and a short CPU trace, so the merge sweeps
+        // breakpoints the inputs do not share.
+        let mut rng = Rng::new(11);
+        let mut trace = |start: f64| {
+            PowerTrace::from_segments(
+                start,
+                (0..200)
+                    .map(|_| (rng.uniform(0.01, 1.0), rng.uniform(50.0, 400.0)))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let (cpu, mem) = (trace(0.0), trace(0.0));
+        let gpus: Vec<PowerTrace> = (0..4).map(|g| trace(0.1 * f64::from(g))).collect();
+        let periph = PowerTrace::from_segments(0.0, [(150.0, 168.0)]);
+        let e = ComponentTraces::node_energy(&cpu, &mem, &gpus, &periph);
+        let c = ComponentTraces::assemble(cpu, mem, gpus, periph);
+        assert_eq!(e.to_bits(), c.node.energy().to_bits());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `scripts/verify.sh`: it exits non-zero if the quarantine accounting
 //! does not balance or the screened summary drifts from the clean one.
 
-use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
+use vasp_power_profiles::cluster::{execute_node0, JobSpec, NetworkModel};
 use vasp_power_profiles::core::benchmarks;
 use vasp_power_profiles::dft::{build_plan, CostModel, ParallelLayout};
 use vasp_power_profiles::stats::PowerSummary;
@@ -29,7 +29,7 @@ fn main() {
         &ParallelLayout::nodes(1),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
     let interval_s = 0.25;
     let clean = Sampler::ideal(interval_s).sample(&result.node_traces[0].node);
 

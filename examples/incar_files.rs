@@ -99,7 +99,7 @@ fn main() {
 
     let ctx = StudyContext::quick();
     let plan = build_plan(&params, &ParallelLayout::nodes(1), &ctx.cost);
-    let result = vasp_power_profiles::cluster::execute(
+    let result = vasp_power_profiles::cluster::execute_node0(
         &plan,
         &vasp_power_profiles::cluster::JobSpec::new(1),
         &ctx.network,

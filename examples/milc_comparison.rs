@@ -6,7 +6,7 @@
 //! cargo run --release --example milc_comparison
 //! ```
 
-use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
+use vasp_power_profiles::cluster::{execute_node0, JobSpec, NetworkModel};
 use vasp_power_profiles::core::{benchmarks, protocol};
 use vasp_power_profiles::dft::{CostModel, ParallelLayout};
 use vasp_power_profiles::lqcd::{MilcWorkload, SolverParams};
@@ -41,7 +41,7 @@ fn main() {
         if cap < 400.0 {
             spec.gpu_power_cap_w = Some(cap);
         }
-        let res = execute(&plan, &spec, &net);
+        let res = execute_node0(&plan, &spec, &net);
         if cap >= 400.0 {
             base_runtime = res.runtime_s;
         }

@@ -10,7 +10,7 @@
 //! paper): any rate up to 10 s captures the high power mode; resolving the
 //! timeline's structure needs ≤5 s.
 
-use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
+use vasp_power_profiles::cluster::{execute_node0, JobSpec, NetworkModel};
 use vasp_power_profiles::core::benchmarks;
 use vasp_power_profiles::dft::{build_plan, CostModel, ParallelLayout};
 use vasp_power_profiles::stats::{fwhm, high_power_mode};
@@ -29,7 +29,7 @@ fn main() {
         &ParallelLayout::nodes(1),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
     let gpu = &result.node_traces[0].gpus[0];
     let base = Sampler::high_rate().sample(gpu);
 

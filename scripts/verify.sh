@@ -41,6 +41,21 @@ echo "==> perfbench tests (its own workspace: the workspace test runs skip it)"
 # in the benchmark pipeline.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench paper_grid: one pass, every point's digest must equal its pin"
+# The perfbench tests check one point against PINNED; a last-bit change
+# on any other point (a 16-node energy, say) would otherwise first show
+# as ok_rate < 1 in the benchmark pipeline. One pass is the 63 measures.
+GRID_LAST=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_grid --seconds 0 | tail -n 1)
+case "$GRID_LAST" in
+    *'"correct": true'*'"failed": 0,'*) echo "    all 63 paper_grid digests equal PINNED" ;;
+    *)
+        echo "$GRID_LAST" >&2
+        echo "verify: FAIL — a paper_grid point's digest differs from PINNED" >&2
+        exit 1
+        ;;
+esac
+
 echo "==> examples smoke: every example must exit 0"
 # scrape_metrics needs a live server; the serve smoke below runs it.
 for EXAMPLE in examples/*.rs; do

@@ -415,6 +415,12 @@ fn flag_parse<T: std::str::FromStr>(p: &Parsed, name: &str) -> Result<Option<T>,
         .transpose()
 }
 
+/// `--nodes N` (`default` when absent), checked against
+/// `1..=`[`protocol::MAX_NODES`] before anything runs or binds.
+fn flag_nodes(p: &Parsed, default: usize) -> Result<usize, String> {
+    protocol::check_nodes("--nodes", flag_parse(p, "nodes")?.unwrap_or(default))
+}
+
 /// `--cap W`, checked against the GPU's settable window before anything
 /// runs or binds.
 fn flag_cap(p: &Parsed) -> Result<Option<f64>, String> {
@@ -551,7 +557,7 @@ fn cmd_list(_p: &Parsed) -> Result<(), String> {
 fn cmd_profile(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("profile needs a target")?;
     let bench = resolve(target)?;
-    let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
+    let nodes = flag_nodes(p, 1)?;
     let cap = flag_cap(p)?;
     let cfg = match cap {
         Some(c) => protocol::RunConfig::capped(nodes, c),
@@ -586,7 +592,7 @@ fn cmd_profile(p: &Parsed) -> Result<(), String> {
 fn cmd_caps(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("caps needs a target")?;
     let bench = resolve(target)?;
-    let nodes = flag_parse(p, "nodes")?.unwrap_or(bench.cap_study_nodes);
+    let nodes = flag_nodes(p, bench.cap_study_nodes)?;
     let c = ctx(p.has("quick"));
     let _session = p
         .has("metrics-port")
@@ -632,7 +638,7 @@ fn cmd_caps(p: &Parsed) -> Result<(), String> {
 fn cmd_screen(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("screen needs a target")?;
     let bench = resolve(target)?;
-    let nodes = flag_parse::<usize>(p, "nodes")?.unwrap_or(4).max(3);
+    let nodes = flag_nodes(p, 4)?.max(3);
     let c = ctx(true);
     let plan = protocol::plan_for(&bench, nodes, &c);
     let mut spec = JobSpec::new(nodes);
@@ -646,6 +652,13 @@ fn cmd_screen(p: &Parsed) -> Result<(), String> {
         let factor: f64 = factor
             .parse()
             .map_err(|_| format!("bad straggler factor '{factor}'"))?;
+        // Below 1 (NaN included) trips the executor's "must not speed up"
+        // assert, and an infinite factor makes an infinite kernel duration.
+        if !(factor >= 1.0 && factor.is_finite()) {
+            return Err(format!(
+                "straggler factor must be finite and at least 1, got {factor}"
+            ));
+        }
         if idx >= nodes {
             return Err(format!("straggler index {idx} out of {nodes} nodes"));
         }
@@ -678,7 +691,7 @@ fn cmd_screen(p: &Parsed) -> Result<(), String> {
 fn cmd_phases(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("phases needs a target")?;
     let bench = resolve(target)?;
-    let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
+    let nodes = flag_nodes(p, 1)?;
     let m = protocol::measure(&bench, &protocol::RunConfig::nodes(nodes), &ctx(true));
     let interval = m.node_series.mean_interval_s().unwrap_or(1.0);
     println!("{:>10} {:>12} {:>10}", "duration s", "mean W", "samples");
@@ -1083,7 +1096,7 @@ fn cmd_trace_accept(p: &Parsed) -> Result<(), String> {
 fn cmd_trace(p: &Parsed) -> Result<(), String> {
     let target = p.positional.first().ok_or("trace needs a target")?;
     let bench = resolve(target)?;
-    let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
+    let nodes = flag_nodes(p, 1)?;
     let cap = flag_cap(p)?;
     let mut cfg = match cap {
         Some(c) => protocol::RunConfig::capped(nodes, c),
@@ -1194,7 +1207,7 @@ fn parse_duration(raw: &str) -> Result<Option<Duration>, String> {
 /// until the process is interrupted.
 fn cmd_serve(p: &Parsed) -> Result<(), String> {
     let bench = p.positional.first().map(|t| resolve(t)).transpose()?;
-    let nodes = flag_parse(p, "nodes")?.unwrap_or(1);
+    let nodes = flag_nodes(p, 1)?;
     let cap = flag_cap(p)?;
     let repeat = flag_parse::<usize>(p, "repeat")?.unwrap_or(1).max(1);
     let port = flag_parse::<u16>(p, "metrics-port")?.unwrap_or(0);

@@ -136,6 +136,45 @@ fn cap_outside_the_gpu_window_is_rejected_before_any_run() {
 }
 
 #[test]
+fn node_count_outside_1_to_128_is_rejected_before_any_run() {
+    // Unchecked, 0 nodes panics in the plan builder (after `caps` has
+    // printed its header), and any count above the job service's bound
+    // runs for as long as the host lets it.
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for nodes in ["0", "129"] {
+        for cmd in ["profile", "caps", "trace"] {
+            cases.push(vec![cmd, "B.hR105_hse", "--quick", "--nodes", nodes]);
+        }
+        for cmd in ["phases", "screen"] {
+            cases.push(vec![cmd, "B.hR105_hse", "--nodes", nodes]);
+        }
+        cases.push(vec![
+            "serve",
+            "B.hR105_hse",
+            "--quick",
+            "--metrics-port",
+            "0",
+            "--nodes",
+            nodes,
+        ]);
+    }
+    for args in cases {
+        let out = vpp().args(&args).output().expect("vpp runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "vpp {args:?}: {err}");
+        assert!(
+            err.contains("--nodes must be in 1..=128"),
+            "vpp {args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one error line: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "vpp {args:?} started a run or bound a port"
+        );
+    }
+}
+
+#[test]
 fn every_subcommand_prints_generated_usage_on_help() {
     let commands: &[&[&str]] = &[
         &["list"],
@@ -245,6 +284,29 @@ fn screen_flags_injected_straggler() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("OUTLIER"), "{text}");
+}
+
+#[test]
+fn screen_rejects_a_straggler_that_would_not_slow_its_node() {
+    // The executor asserts a straggler never speeds its node up; the CLI
+    // must turn such a factor into an error, as it does for --perturb.
+    for straggler in ["0:0.5", "0:nan"] {
+        let out = vpp()
+            .args(["screen", "PdO4", "--nodes", "4", "--straggler", straggler])
+            .output()
+            .expect("vpp runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--straggler {straggler}: {err}");
+        assert!(
+            err.contains("straggler factor must be finite and at least 1"),
+            "--straggler {straggler}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one error line: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "--straggler {straggler} ran a screen"
+        );
+    }
 }
 
 #[test]

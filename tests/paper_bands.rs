@@ -2,7 +2,7 @@
 //! the full simulation pipeline. These are the "shape" checks DESIGN.md §4
 //! promises: who wins, by roughly what factor, where the knees fall.
 
-use vasp_power_profiles::cluster::execute;
+use vasp_power_profiles::cluster::execute_node0;
 use vasp_power_profiles::core::{benchmarks, protocol};
 use vasp_power_profiles::stats::parallel_efficiency;
 
@@ -124,7 +124,7 @@ fn gpus_carry_over_seventy_percent_of_hot_workloads() {
     let m = measure_1node(&bench);
     let ctx = protocol::StudyContext::quick();
     let plan = protocol::plan_for(&bench, m.nodes, &ctx);
-    let run = execute(&plan, &m.spec, &ctx.network);
+    let run = execute_node0(&plan, &m.spec, &ctx.network);
     let c = &run.node_traces[0];
     let t0 = c.node.start() + 8.0;
     let t1 = c.node.end() - 2.0;

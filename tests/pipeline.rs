@@ -2,7 +2,7 @@
 //! (plan → cluster execution → telemetry → statistics)
 //! wired exactly as the experiments use it.
 
-use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel};
+use vasp_power_profiles::cluster::{execute_node0, JobSpec, NetworkModel};
 use vasp_power_profiles::core::benchmarks;
 use vasp_power_profiles::dft::{build_plan, CostModel, ParallelLayout};
 use vasp_power_profiles::stats::PowerSummary;
@@ -16,7 +16,7 @@ fn full_chain_from_benchmark_to_summary() {
         &ParallelLayout::nodes(2),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(2), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(2), &NetworkModel::perlmutter());
 
     // Sample node 0 at the production LDMS rate and analyse it with the
     // paper's methodology.
@@ -41,7 +41,7 @@ fn component_channels_sum_below_node_channel() {
         &ParallelLayout::nodes(1),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
     let c = &result.node_traces[0];
     let mid = 0.5 * (c.node.start() + c.node.end());
     let metered: f64 = c.cpu.power_at(mid)
@@ -60,7 +60,7 @@ fn per_gpu_channels_differ_but_agree_in_scale() {
         &ParallelLayout::nodes(1),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
     let sampler = Sampler::ideal(1.0);
     let means: Vec<f64> = result.node_traces[0]
         .gpus
@@ -83,7 +83,7 @@ fn capped_job_never_exceeds_cap_anywhere() {
     );
     let mut spec = JobSpec::new(1);
     spec.gpu_power_cap_w = Some(250.0);
-    let result = execute(&plan, &spec, &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &spec, &NetworkModel::perlmutter());
     for (i, g) in result.node_traces[0].gpus.iter().enumerate() {
         let max = g.max_power().unwrap();
         assert!(max <= 250.0 + 1e-9, "GPU {i} drew {max} W under a 250 W cap");
@@ -100,7 +100,7 @@ fn rpa_timeline_shows_the_cpu_only_stage() {
         &ParallelLayout::nodes(1),
         &CostModel::calibrated(),
     );
-    let result = execute(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
+    let result = execute_node0(&plan, &JobSpec::new(1), &NetworkModel::perlmutter());
     let c = &result.node_traces[0];
     // Find a 30-second window where GPUs idle but CPU works hard.
     let mut found = false;
