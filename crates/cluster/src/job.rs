@@ -4,7 +4,7 @@ use crate::network::NetworkModel;
 use vpp_dft::{CollectiveKind, Op, PhaseKind, ScfPlan};
 use vpp_gpu::{Executed, Gpu, Kernel, KernelKind};
 use vpp_node::{ComponentTraces, CpuModel, MemoryModel, NodeInstance};
-use vpp_sim::{PowerTrace, Rng};
+use vpp_sim::{EnergyFold, PowerTrace, Rng};
 use vpp_substrate::{span, trace};
 
 /// Fault injection: one underperforming node (failing DIMM, thermal issue,
@@ -90,22 +90,12 @@ impl JobResult {
     }
 }
 
-/// Which nodes' channels a run hands back. Both readouts run the same ops
-/// and differ only in how nodes 1.. are assembled.
-#[derive(Debug, Clone, Copy)]
-enum Readout {
-    /// Every node's [`ComponentTraces`].
-    AllNodes,
-    /// Node 0's; nodes 1.. are folded into the energy total.
-    Node0,
-}
-
 /// Execute `plan` under `spec` over `network`, returning every node's
 /// channels: for readers of the whole allocation (Fig. 1's per-node
 /// spread, the straggler screen, per-window energy over all nodes).
 #[must_use]
 pub fn execute(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel) -> JobResult {
-    run(plan, spec, network, Readout::AllNodes)
+    run(plan, spec, network, |ran: Ran<PowerTrace>| ran.read_out(spec.nodes))
 }
 
 /// [`execute`] for a reader of node 0 alone, as the §III-B protocol is:
@@ -115,7 +105,136 @@ pub fn execute(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel) -> JobRes
 /// ([`ComponentTraces::node_energy`]) instead of being built.
 #[must_use]
 pub fn execute_node0(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel) -> JobResult {
-    run(plan, spec, network, Readout::Node0)
+    run(plan, spec, network, |ran: Ran<PowerTrace>| ran.read_out(1))
+}
+
+/// [`execute`]'s runtime alone, seconds, bit for bit: for a caller that
+/// chooses among runs by runtime (the §III-B protocol) before reading one
+/// out. The run records what [`execute`] records (spans, counters and
+/// histograms, phase `energy_j` and `power_watts` included), but each
+/// channel keeps only its tally ([`EnergyFold`]), not its segments, so the
+/// call allocates next to nothing. The runtime reads the ranks' clocks
+/// alone, and the tallies feed only the recorded phase energies, so with
+/// no session bound the channels keep nothing at all.
+#[must_use]
+pub fn job_runtime(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel) -> f64 {
+    if trace::enabled() {
+        run(plan, spec, network, |ran: Ran<EnergyFold>| ran.t_end - ran.start_s)
+    } else {
+        run(plan, spec, network, |ran: Ran<()>| ran.t_end - ran.start_s)
+    }
+}
+
+/// What the op loop keeps of each channel it drives: the segments
+/// ([`PowerTrace`]), their tally ([`EnergyFold`]), or nothing (`()`).
+/// The first two apply `push`'s rules, so `end` and `energy`, and with
+/// them every recorded phase energy, read the same bits either way. No
+/// clock reads a channel, so the runtime is the same with any of the
+/// three.
+trait Channel {
+    /// An empty channel from `start`, with room for `segments` segments.
+    fn open(start: f64, segments: usize) -> Self;
+    fn push(&mut self, dur: f64, watts: f64);
+    fn end(&self) -> f64;
+    fn energy(&self) -> f64;
+}
+
+impl Channel for PowerTrace {
+    fn open(start: f64, segments: usize) -> Self {
+        PowerTrace::with_capacity(start, segments)
+    }
+    fn push(&mut self, dur: f64, watts: f64) {
+        PowerTrace::push(self, dur, watts);
+    }
+    fn end(&self) -> f64 {
+        PowerTrace::end(self)
+    }
+    fn energy(&self) -> f64 {
+        PowerTrace::energy(self)
+    }
+}
+
+impl Channel for EnergyFold {
+    fn open(start: f64, _segments: usize) -> Self {
+        EnergyFold::new(start)
+    }
+    fn push(&mut self, dur: f64, watts: f64) {
+        EnergyFold::push(self, dur, watts);
+    }
+    fn end(&self) -> f64 {
+        EnergyFold::end(self)
+    }
+    fn energy(&self) -> f64 {
+        EnergyFold::energy(self)
+    }
+}
+
+/// An untraced runtime pass's channel: it keeps nothing, and reads as
+/// ending at +∞ with no energy, so the loop's host-side catch-up and final
+/// pads push nothing into it. Only the phase energies, which a bound
+/// session alone records, read a channel's values.
+impl Channel for () {
+    fn open(_start: f64, _segments: usize) -> Self {}
+    fn push(&mut self, _dur: f64, _watts: f64) {}
+    fn end(&self) -> f64 {
+        f64::INFINITY
+    }
+    fn energy(&self) -> f64 {
+        0.0
+    }
+}
+
+/// A finished op loop, handed to the readout inside the job's span: the
+/// nodes, every channel (rank r's GPU at `gpu[r]`, node n's CPU and DDR
+/// at `cpu[n]` and `mem[n]`), the final barrier, and the segments each
+/// host channel was sized for.
+struct Ran<C> {
+    start_s: f64,
+    nodes: Vec<NodeInstance>,
+    gpu: Vec<C>,
+    cpu: Vec<C>,
+    mem: Vec<C>,
+    t_end: f64,
+    host_segments: usize,
+}
+
+impl Ran<PowerTrace> {
+    /// Assemble the first `keep` nodes' channels (peripherals active for
+    /// the job's span) and fold each later node through the merge its
+    /// node channel would take, so the energy keeps every bit either way.
+    fn read_out(self, keep: usize) -> JobResult {
+        debug_assert!(
+            self.cpu
+                .iter()
+                .chain(&self.mem)
+                .all(|t| t.len() <= self.host_segments),
+            "a host trace outgrew its {} reserved segments",
+            self.host_segments
+        );
+        let gpn = self.gpu.len() / self.nodes.len();
+        let mut node_traces = Vec::with_capacity(keep);
+        let mut node_energy = Vec::with_capacity(self.nodes.len());
+        let mut gpu_iter = self.gpu.into_iter();
+        for ((node, cpu), mem) in self.nodes.iter().zip(self.cpu).zip(self.mem) {
+            let gpus: Vec<PowerTrace> = gpu_iter.by_ref().take(gpn).collect();
+            let periph = PowerTrace::from_segments(
+                self.start_s,
+                [(self.t_end - self.start_s, node.periph_active_w)],
+            );
+            if node_traces.len() < keep {
+                let c = ComponentTraces::assemble(cpu, mem, gpus, periph);
+                node_energy.push(c.node.energy());
+                node_traces.push(c);
+            } else {
+                node_energy.push(ComponentTraces::node_energy(&cpu, &mem, &gpus, &periph));
+            }
+        }
+        JobResult {
+            runtime_s: self.t_end - self.start_s,
+            node_traces,
+            energy_j: node_energy.into_iter().sum(),
+        }
+    }
 }
 
 /// Bitwise kernel identity: fields equal by `==` may still differ in the
@@ -178,8 +297,15 @@ impl Solved {
     }
 }
 
-/// The one executor body behind [`execute`] and [`execute_node0`].
-fn run(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel, readout: Readout) -> JobResult {
+/// The one executor body behind [`execute`], [`execute_node0`] and
+/// [`job_runtime`]: runs every op on channels of kind `C`, then hands them
+/// to `read` inside the job's span.
+fn run<C: Channel, R>(
+    plan: &ScfPlan,
+    spec: &JobSpec,
+    network: &NetworkModel,
+    read: impl FnOnce(Ran<C>) -> R,
+) -> R {
     assert!(spec.nodes > 0);
     let fleet = Rng::new(spec.seed);
     let mut nodes: Vec<NodeInstance> = (0..spec.nodes)
@@ -196,15 +322,21 @@ fn run(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel, readout: Readout)
     let gpus: Vec<&Gpu> = nodes.iter().flat_map(|n| &n.gpus).collect();
     let mut solved = Solved::default();
 
-    // Every trace is sized for its most pushes, so none reallocates: the
+    // Every trace is sized for its most segments, so none reallocates: the
     // injected init stage and the final barrier pad, one push per op, and
-    // on the GPUs a collective's barrier wait on top of its transfer.
-    let host_segments = 2 + plan.ops.len();
-    let gpu_segments = host_segments + plan.collective_count();
-    let traces = |n: usize, segments: usize| -> Vec<PowerTrace> {
-        (0..n)
-            .map(|_| PowerTrace::with_capacity(spec.start_s, segments))
-            .collect()
+    // on the GPUs a collective's barrier wait on top of its transfer. On
+    // the hosts every GPU op pushes the same drive power, so a run of them
+    // merges into one segment: each other op opens at most one segment
+    // for itself and one for the GPU run after it.
+    let host_ops = plan
+        .ops
+        .iter()
+        .filter(|op| !matches!(op, Op::Gpu(_)))
+        .count();
+    let host_segments = (2 + plan.ops.len()).min(3 + 2 * host_ops);
+    let gpu_segments = 2 + plan.ops.len() + plan.collective_count();
+    let traces = |n: usize, segments: usize| -> Vec<C> {
+        (0..n).map(|_| C::open(spec.start_s, segments)).collect()
     };
     let mut gpu_traces = traces(ranks, gpu_segments);
     let mut cpu_traces = traces(spec.nodes, host_segments);
@@ -302,22 +434,18 @@ fn run(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel, readout: Readout)
     let mut open_phase: Option<OpenPhase> = None;
     let clock_min = |c: &[f64]| c.iter().copied().fold(f64::INFINITY, f64::min);
     let clock_max = |c: &[f64]| c.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let acc_energy = |gpu: &[PowerTrace], cpu: &[PowerTrace], mem: &[PowerTrace]| -> f64 {
+    let acc_energy = |gpu: &[C], cpu: &[C], mem: &[C]| -> f64 {
         gpu.iter()
             .chain(cpu.iter())
             .chain(mem.iter())
-            .map(PowerTrace::energy)
+            .map(C::energy)
             .sum()
     };
     // Energy attributed to the open phase: growth of the accumulated
     // GPU/CPU/DDR energy since phase entry, plus peripherals over each
     // node's locally elapsed span. Exact (not a window estimate): every
     // queried interval ends at a trace's current end.
-    let phase_energy = |ph: &OpenPhase,
-                        gpu: &[PowerTrace],
-                        cpu: &[PowerTrace],
-                        mem: &[PowerTrace],
-                        nodes: &[NodeInstance]| {
+    let phase_energy = |ph: &OpenPhase, gpu: &[C], cpu: &[C], mem: &[C], nodes: &[NodeInstance]| {
         let periph: f64 = nodes
             .iter()
             .zip(cpu.iter().zip(&ph.cpu_ends0))
@@ -371,7 +499,7 @@ fn run(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel, readout: Readout)
                         guard: g,
                         end,
                         energy0: acc_energy(&gpu_traces, &cpu_traces, &mem_traces),
-                        cpu_ends0: cpu_traces.iter().map(PowerTrace::end).collect(),
+                        cpu_ends0: cpu_traces.iter().map(C::end).collect(),
                         sim_t0: t0,
                     });
                 }
@@ -495,42 +623,22 @@ fn run(plan: &ScfPlan, spec: &JobSpec, network: &NetworkModel, readout: Readout)
         trace::histogram("phase_sim_seconds", t_end - ph.sim_t0);
     }
 
-    // Assemble per-node channels (peripherals active for the job's span).
-    // A node-0 readout folds each later node through the merge its node
-    // channel would take, so its energy keeps every bit either way.
-    let keep = match readout {
-        Readout::AllNodes => spec.nodes,
-        Readout::Node0 => 1,
-    };
-    let mut node_traces = Vec::with_capacity(keep);
-    let mut node_energy = Vec::with_capacity(spec.nodes);
-    let mut gpu_iter = gpu_traces.into_iter();
-    for ((node, cpu), mem) in nodes.iter().zip(cpu_traces).zip(mem_traces) {
-        let gpus: Vec<PowerTrace> = gpu_iter.by_ref().take(gpn).collect();
-        let periph = PowerTrace::from_segments(
-            spec.start_s,
-            [(t_end - spec.start_s, node.periph_active_w)],
-        );
-        if node_traces.len() < keep {
-            let c = ComponentTraces::assemble(cpu, mem, gpus, periph);
-            node_energy.push(c.node.energy());
-            node_traces.push(c);
-        } else {
-            node_energy.push(ComponentTraces::node_energy(&cpu, &mem, &gpus, &periph));
-        }
-    }
-
-    JobResult {
-        runtime_s: t_end - spec.start_s,
-        node_traces,
-        energy_j: node_energy.into_iter().sum(),
-    }
+    read(Ran {
+        start_s: spec.start_s,
+        nodes,
+        gpu: gpu_traces,
+        cpu: cpu_traces,
+        mem: mem_traces,
+        t_end,
+        host_segments,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vpp_dft::{build_plan, CostModel, Incar, ParallelLayout, Supercell, SystemParams};
+    use vpp_substrate::trace::TraceReport;
 
     fn si_plan(atoms: usize, nodes: usize) -> ScfPlan {
         let mut deck = Incar::default_deck();
@@ -546,11 +654,8 @@ mod tests {
     }
 
     /// Execute under a trace session.
-    fn execute_traced(
-        plan: &ScfPlan,
-        spec: &JobSpec,
-    ) -> (JobResult, vpp_substrate::trace::TraceReport) {
-        let session = vpp_substrate::trace::session(1 << 16);
+    fn execute_traced(plan: &ScfPlan, spec: &JobSpec) -> (JobResult, TraceReport) {
+        let session = trace::session(1 << 16);
         let res = execute(plan, spec, &NetworkModel::perlmutter());
         (res, session.finish())
     }
@@ -969,6 +1074,11 @@ mod tests {
                 "{spec:?}"
             );
             assert_eq!(
+                job_runtime(&plan, &spec, &net).to_bits(),
+                all.runtime_s.to_bits(),
+                "{spec:?}"
+            );
+            assert_eq!(
                 node0.energy_j().to_bits(),
                 all.energy_j().to_bits(),
                 "{spec:?}"
@@ -983,6 +1093,53 @@ mod tests {
                     .collect()
             };
             assert_eq!(channels(a), channels(b), "{spec:?}");
+        }
+    }
+
+    /// A report's spans with process-unique ids replaced by list
+    /// positions and wall times left out: what two runs of one spec share.
+    fn span_shape(report: &TraceReport) -> Vec<(&'static str, Option<usize>, String)> {
+        let spans = report.spans();
+        let position = |id: u64| spans.iter().position(|s| s.id == id);
+        spans
+            .iter()
+            .map(|s| (s.name, s.parent.and_then(position), format!("{:?}", s.fields)))
+            .collect()
+    }
+
+    #[test]
+    fn runtime_pass_records_what_execute_records() {
+        let net = NetworkModel::perlmutter();
+        let mut straggling = quick_spec(2);
+        straggling.straggler = Some(Straggler {
+            node: 1,
+            slowdown: 1.3,
+        });
+        straggling.os_jitter = 0.05;
+        let mut phase = quick_spec(2);
+        phase.phase_slowdown = Some((PhaseKind::ScfIter, 1.5));
+        for spec in [quick_spec(1), straggling, phase] {
+            let plan = si_plan(64, spec.nodes);
+            let (full, want) = execute_traced(&plan, &spec);
+            let session = trace::session(1 << 16);
+            let runtime = job_runtime(&plan, &spec, &net);
+            let got = session.finish();
+            assert_eq!(runtime.to_bits(), full.runtime_s.to_bits(), "{spec:?}");
+            assert_eq!((got.dropped, want.dropped), (0, 0), "{spec:?}");
+            let shape = span_shape(&got);
+            assert!(shape.len() > plan.iterations, "{spec:?}: {shape:?}");
+            assert_eq!(shape, span_shape(&want), "{spec:?}");
+            let marks = |r: &TraceReport| -> Vec<(&str, String)> {
+                r.marks()
+                    .iter()
+                    .map(|e| (e.name, format!("{:?}", e.fields)))
+                    .collect()
+            };
+            assert_eq!(marks(&got), marks(&want), "{spec:?}");
+            assert_eq!(got.counters, want.counters, "{spec:?}");
+            assert_eq!(got.gauges, want.gauges, "{spec:?}");
+            assert!(got.histograms.contains_key("power_watts"));
+            assert_eq!(got.histograms, want.histograms, "{spec:?}");
         }
     }
 

@@ -10,10 +10,14 @@
 //! channels the paper's monitoring stack records — plus the job runtime and
 //! energy. [`execute_node0`] runs the same job for a reader of node 0
 //! alone: it hands back node 0's channels and folds the other nodes into
-//! the energy total.
+//! the energy total. [`job_runtime`] runs it for a reader of the runtime
+//! alone: every channel keeps a tally ([`vpp_sim::EnergyFold`]) instead of
+//! segments, or nothing when no trace session is bound, and the run
+//! records the same trace events. All three run one op-loop body, so they
+//! agree bit for bit.
 
 pub mod job;
 pub mod network;
 
-pub use job::{execute, execute_node0, JobResult, JobSpec, Straggler};
+pub use job::{execute, execute_node0, job_runtime, JobResult, JobSpec, Straggler};
 pub use network::NetworkModel;

@@ -2,15 +2,17 @@
 //!
 //! Each benchmark runs five times; the run with the minimum total runtime is
 //! the representative (it has the least chance of landing on underperforming
-//! hardware). Runs land on independently drawn nodes. Power series are
-//! collected at the production LDMS cadence and summarised with the KDE
-//! methodology.
+//! hardware). Runs land on independently drawn nodes. The choice reads the
+//! runtime alone, so each repeat runs without channels
+//! ([`vpp_cluster::job_runtime`]) and only the representative is read out
+//! ([`vpp_cluster::execute_node0`], untraced, since its repeat already
+//! recorded the run). Power series are collected at the production LDMS
+//! cadence and summarised with the KDE methodology.
 
 use crate::benchmarks::Benchmark;
-use vpp_cluster::{execute_node0, JobSpec, NetworkModel};
+use vpp_cluster::{execute_node0, job_runtime, JobResult, JobSpec, NetworkModel};
 use vpp_dft::{build_plan, CostModel, ParallelLayout, PhaseKind, ScfPlan};
 use vpp_gpu::A100Spec;
-use vpp_node::ComponentTraces;
 use vpp_stats::PowerSummary;
 use vpp_telemetry::{quarantine, DataQuality, QualityConfig, RawSeries, Sampler, TimeSeries};
 
@@ -219,13 +221,13 @@ pub fn repeat_spec(cfg: &RunConfig, ctx: &StudyContext, rep: usize) -> JobSpec {
 }
 
 /// What `measure` keeps of one repeat while the others run: enough to
-/// pick the fastest and sample it, not every node's traces.
+/// choose the fastest and read it out, not its traces.
 struct Repeat {
     spec: JobSpec,
     runtime_s: f64,
-    energy_j: f64,
-    node0: ComponentTraces,
     span: Option<u64>,
+    /// The repeat's own node-0 run, when it is the only repeat.
+    readout: Option<JobResult>,
 }
 
 /// A measurement stopped early because its cancellation check fired
@@ -233,8 +235,8 @@ struct Repeat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Canceled;
 
-/// Run the full protocol: `ctx.repeats` runs on fresh fleets, keep the
-/// fastest, sample and summarise it.
+/// Run the full protocol: `ctx.repeats` runs on fresh fleets, choose the
+/// fastest, read it out, sample and summarise it.
 ///
 /// # Panics
 /// If the benchmark produces an empty plan or zero-length series.
@@ -247,11 +249,12 @@ pub fn measure(bench: &Benchmark, cfg: &RunConfig, ctx: &StudyContext) -> Measur
 }
 
 /// [`measure`] with a cooperative cancellation check: `canceled` is
-/// polled at the start of every repeat, and a `true` abandons the
-/// measurement — remaining repeats are skipped and nothing is sampled or
-/// summarised. This is the long-running service's cancel hook; the
-/// checkpoints are repeat boundaries because a single repeat is the unit
-/// of useful work (a partial fleet execution summarises nothing).
+/// polled at the start of every repeat and once more before the chosen
+/// repeat is read out, and a `true` abandons the measurement — remaining
+/// runs are skipped and nothing is sampled or summarised. This is the
+/// long-running service's cancel hook; the checkpoints are run boundaries
+/// because a single run is the unit of useful work (a partial fleet
+/// execution summarises nothing).
 ///
 /// # Errors
 /// [`Canceled`] when the check fired before every repeat completed.
@@ -264,55 +267,72 @@ pub fn measure_cancellable(
     ctx: &StudyContext,
     canceled: &(dyn Fn() -> bool + Sync),
 ) -> Result<Measured, Canceled> {
+    let reps = ctx.repeats.max(1);
     let mut measure_span = vpp_substrate::span!(
         "protocol.measure",
         benchmark = bench.name(),
         nodes = cfg.nodes,
-        repeats = ctx.repeats.max(1),
+        repeats = reps,
     );
     let plan = plan_for(bench, cfg.nodes, ctx);
     // Repeats are independent fleets — fan out on the substrate pool (runs
     // serially when a caller higher in the stack already holds the pool).
-    // Each repeat carries its span id forward so the quality gate can
-    // link any re-collection back to the measurement it rescued, and
-    // reads only node 0's traces: the other nodes matter only through
-    // the energy total, which the executor folds without building their
-    // node channels.
+    // The representative is chosen by runtime alone, so each repeat runs
+    // without channels (`job_runtime`) and carries its span id forward so
+    // the quality gate can link any re-collection back to the measurement
+    // it rescued. A lone repeat has nothing to choose from and reads
+    // itself out.
     let repeats: Vec<Option<Repeat>> =
-        vpp_substrate::par_map((0..ctx.repeats.max(1)).collect(), |rep| {
+        vpp_substrate::par_map((0..reps).collect(), |rep| {
             if canceled() {
                 return None;
             }
             let mut rep_span = vpp_substrate::span!("protocol.repeat", rep = rep);
             let spec = repeat_spec(cfg, ctx, rep);
-            let result = execute_node0(&plan, &spec, &ctx.network);
-            rep_span.record("runtime_s", result.runtime_s);
-            let (runtime_s, energy_j) = (result.runtime_s, result.energy_j());
-            let mut nodes = result.node_traces.into_iter();
+            let readout = (reps == 1).then(|| execute_node0(&plan, &spec, &ctx.network));
+            let runtime_s = readout
+                .as_ref()
+                .map_or_else(|| job_runtime(&plan, &spec, &ctx.network), |r| r.runtime_s);
+            rep_span.record("runtime_s", runtime_s);
             Some(Repeat {
                 spec,
                 runtime_s,
-                energy_j,
-                node0: nodes.next().expect("at least one node"),
                 span: rep_span.id(),
+                readout,
             })
         });
 
-    let mut completed = Vec::with_capacity(repeats.len());
+    let mut abandon = || {
+        vpp_substrate::trace::counter("protocol.canceled", 1);
+        measure_span.record("canceled", true);
+        Err(Canceled)
+    };
+    let mut completed = Vec::with_capacity(reps);
     for r in repeats {
         match r {
             Some(done) => completed.push(done),
-            None => {
-                vpp_substrate::trace::counter("protocol.canceled", 1);
-                measure_span.record("canceled", true);
-                return Err(Canceled);
-            }
+            None => return abandon(),
         }
     }
+    // The first fastest repeat is the representative. Read it out once,
+    // for node 0's channels and the all-node energy, with no session
+    // bound: its repeat span already holds every event of the run.
     let best = completed
         .into_iter()
         .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
         .expect("at least one repeat");
+    let result = match best.readout {
+        Some(result) => result,
+        None if canceled() => return abandon(),
+        None => vpp_substrate::trace::untraced(|| execute_node0(&plan, &best.spec, &ctx.network)),
+    };
+    debug_assert_eq!(result.runtime_s.to_bits(), best.runtime_s.to_bits());
+    let energy_j = result.energy_j();
+    let node0 = result
+        .node_traces
+        .into_iter()
+        .next()
+        .expect("node 0's channels");
 
     // Short runs starve the production 2-s cadence; fall back to a
     // high-rate capture (the paper used 0.1-s collection for methodology
@@ -333,7 +353,7 @@ pub fn measure_cancellable(
         quarantine(&RawSeries::from_series(series), &cfg).quality
     };
     let mut active = sampler;
-    let mut node_series = active.sample(&best.node0.node);
+    let mut node_series = active.sample(&node0.node);
     let mut node_quality = assess(&node_series, active.interval_s);
     for attempt in 1..=2u64 {
         if node_quality.coverage >= ctx.min_coverage {
@@ -354,7 +374,7 @@ pub fn measure_cancellable(
             rc_span.record("link_span", id);
         }
         active.seed = sampler.seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9));
-        node_series = active.sample(&best.node0.node);
+        node_series = active.sample(&node0.node);
         node_quality = assess(&node_series, active.interval_s);
         rc_span.record("new_coverage", node_quality.coverage);
     }
@@ -375,12 +395,12 @@ pub fn measure_cancellable(
             rescue_span.record("link_span", id);
         }
         active = Sampler::ideal((best.runtime_s / 64.0).max(0.1));
-        node_series = active.sample(&best.node0.node);
+        node_series = active.sample(&node0.node);
         node_quality = assess(&node_series, active.interval_s);
         rescue_span.record("new_coverage", node_quality.coverage);
     }
     vpp_substrate::trace::gauge("protocol.coverage", node_quality.coverage);
-    let gpu_series = active.sample(&best.node0.gpus[0]);
+    let gpu_series = active.sample(&node0.gpus[0]);
     assert!(
         node_series.len() >= 8,
         "series too short to summarise ({} samples) — benchmark {} ran only {:.1}s",
@@ -390,7 +410,7 @@ pub fn measure_cancellable(
     );
 
     measure_span.record("runtime_s", best.runtime_s);
-    measure_span.record("energy_j", best.energy_j);
+    measure_span.record("energy_j", energy_j);
     measure_span.record("coverage", node_quality.coverage);
     measure_span.record("flagged", quality_flagged);
 
@@ -400,7 +420,7 @@ pub fn measure_cancellable(
         cap_w: cfg.cap_w,
         runtime_s: best.runtime_s,
         spec: best.spec,
-        energy_j: best.energy_j,
+        energy_j,
         node_summary: PowerSummary::from_samples(node_series.values()),
         gpu_summary: PowerSummary::from_samples(gpu_series.values()),
         node_series,
@@ -560,6 +580,40 @@ mod tests {
         let ok = measure_cancellable(&bench, &RunConfig::nodes(1), &ctx, &|| false)
             .expect("nothing canceled");
         assert!(ok.runtime_s > 10.0);
+    }
+
+    #[test]
+    fn a_traced_measure_records_one_run_per_repeat() {
+        let bench = benchmarks::b_hr105_hse();
+        for ctx in [StudyContext::quick(), StudyContext::single()] {
+            let session = vpp_substrate::trace::session(1 << 20);
+            let m = measure(&bench, &RunConfig::nodes(2), &ctx);
+            let report = session.finish();
+            assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
+            let spans = report.spans();
+            let named = |name: &str| -> Vec<_> { spans.iter().filter(|s| s.name == name).collect() };
+            let (repeats, runs) = (named("protocol.repeat"), named("job.execute"));
+            assert_eq!(repeats.len(), ctx.repeats);
+            // The read-out of the chosen repeat records nothing: every run
+            // in the trace is a repeat's own.
+            assert_eq!(runs.len(), ctx.repeats, "{} repeats", ctx.repeats);
+            for run in &runs {
+                assert!(repeats.iter().any(|r| run.parent == Some(r.id)));
+            }
+            let plan = plan_for(&bench, 2, &ctx);
+            let gpu_ops = plan
+                .ops
+                .iter()
+                .filter(|op| matches!(op, vpp_dft::Op::Gpu(_)))
+                .count();
+            assert_eq!(
+                report.counters["job.ops.gpu"],
+                (ctx.repeats * gpu_ops) as u64
+            );
+            assert!(repeats
+                .iter()
+                .any(|r| r.field_f64("runtime_s") == Some(m.runtime_s)));
+        }
     }
 
     #[test]

@@ -26,4 +26,4 @@ pub use vpp_substrate::rng;
 
 pub use des::{EventId, EventQueue};
 pub use rng::Rng;
-pub use trace::{PowerTrace, Segment};
+pub use trace::{EnergyFold, PowerTrace, Segment};

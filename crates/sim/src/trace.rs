@@ -22,7 +22,10 @@
 //!   O(B·log k) for B total breakpoints (previously O(B·k·log s): a sorted
 //!   cut union with a per-cut, per-trace binary-search lookup);
 //! * [`PowerTrace::sum_energy`] — the same merge folded into the sum's
-//!   energy, bit for bit, without building the sum's segments.
+//!   energy, bit for bit, without building the sum's segments;
+//! * [`EnergyFold`] — the end and energy a sequence of pushes leaves, bit
+//!   for bit, in O(1) memory: the fold behind `sum_energy`, and each
+//!   channel of a traced run whose caller reads only the runtime.
 //!
 //! The superseded quadratic algorithms live on in [`reference`](mod@reference) as the
 //! oracle for equivalence tests and the "before" side of the bench
@@ -103,18 +106,56 @@ fn merges(last_w: f64, watts: f64) -> bool {
     (last_w - watts).abs() <= MERGE_EPS
 }
 
-/// The energy a sequence of [`PowerTrace::push`] calls accumulates, without
-/// the segments: a merged push adds at the previous segment's power, any
-/// other at its own, so the total is the pushed trace's `energy()` bit for
-/// bit. Fed only by [`merge`], which never emits a zero duration.
-#[derive(Default)]
-struct EnergyFold {
-    joules: f64,
+/// What a sequence of [`PowerTrace::push`] calls keeps besides its
+/// segments: the end, the last segment's power and the energy. It applies
+/// `push`'s rules (zero durations ignored, a push within the merge
+/// tolerance of the last segment's power extends it at that power), so
+/// [`EnergyFold::end`] and [`EnergyFold::energy`] equal the pushed trace's
+/// bit for bit, in O(1) memory. Behind [`PowerTrace::sum_energy`], and
+/// behind each channel of a traced executor run that hands back only its
+/// runtime.
+///
+/// ```
+/// use vpp_sim::{EnergyFold, PowerTrace};
+///
+/// let (mut fold, mut trace) = (EnergyFold::new(2.0), PowerTrace::new(2.0));
+/// for (dur, w) in [(1.5, 300.0), (0.0, 90.0), (0.5, 300.0), (1.0, 80.0)] {
+///     fold.push(dur, w);
+///     trace.push(dur, w);
+/// }
+/// assert_eq!(fold.end().to_bits(), trace.end().to_bits());
+/// assert_eq!(fold.energy().to_bits(), trace.energy().to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct EnergyFold {
+    end: f64,
     last_w: Option<f64>,
+    joules: f64,
 }
 
 impl EnergyFold {
-    fn push(&mut self, dur: f64, watts: f64) {
+    /// An empty tally beginning at `start` seconds.
+    #[must_use]
+    pub fn new(start: f64) -> Self {
+        assert!(start.is_finite(), "trace start must be finite");
+        Self {
+            end: start,
+            last_w: None,
+            joules: 0.0,
+        }
+    }
+
+    /// [`PowerTrace::push`] without the segment: `dur` seconds at `watts`.
+    ///
+    /// # Panics
+    /// If `dur` is negative or not finite, or `watts` is not finite.
+    pub fn push(&mut self, dur: f64, watts: f64) {
+        assert!(dur.is_finite() && dur >= 0.0, "bad duration {dur}");
+        assert!(watts.is_finite(), "bad power {watts}");
+        if dur == 0.0 {
+            return;
+        }
+        self.end += dur;
         let w = match self.last_w {
             Some(last) if merges(last, watts) => last,
             _ => {
@@ -123,6 +164,18 @@ impl EnergyFold {
             }
         };
         self.joules += dur * w;
+    }
+
+    /// End of the pushed domain, seconds: [`PowerTrace::end`].
+    #[must_use]
+    pub fn end(&self) -> f64 {
+        self.end
+    }
+
+    /// Energy pushed so far, joules: [`PowerTrace::energy`].
+    #[must_use]
+    pub fn energy(&self) -> f64 {
+        self.joules
     }
 }
 
@@ -453,9 +506,10 @@ impl PowerTrace {
             [] => 0.0,
             [one] => one.energy(),
             _ => {
-                let mut fold = EnergyFold::default();
-                merge(&inputs, earliest_start(&inputs), |dur, w| fold.push(dur, w));
-                fold.joules
+                let start = earliest_start(&inputs);
+                let mut fold = EnergyFold::new(start);
+                merge(&inputs, start, |dur, w| fold.push(dur, w));
+                fold.energy()
             }
         }
     }

@@ -1,6 +1,9 @@
 //! `PowerTrace::sum_energy` against the trace it stands in for: the energy
 //! fold must equal `PowerTrace::sum(..).energy()` bit for bit, because the
 //! executor's node energies (and every digest built on them) come from it.
+//! Beneath it, the tally itself (`EnergyFold`) must track a pushed trace's
+//! end and energy bit for bit, because the executor's runtime pass records
+//! phase energies from it.
 //!
 //! The generators aim at the places where the fold could drift from the
 //! sum: offset starts and gaps between domains, breakpoints and powers
@@ -8,7 +11,7 @@
 //! merge's 512-breakpoint resync cadence, and the 0- and 1-input
 //! shortcuts.
 
-use vpp_sim::{PowerTrace, Rng};
+use vpp_sim::{EnergyFold, PowerTrace, Rng};
 use vpp_substrate::prop::usize_in;
 use vpp_substrate::properties;
 
@@ -57,7 +60,40 @@ fn random_trace(rng: &mut Rng, start: f64, segments: usize) -> PowerTrace {
     t
 }
 
+/// Push `pushes` random segments, some of zero duration, into a tally and
+/// a trace side by side, checking the tally after every push; returns the
+/// trace.
+fn push_both(rng: &mut Rng, pushes: usize) -> PowerTrace {
+    let start = rng.uniform(-10.0, 50.0);
+    let (mut fold, mut trace) = (EnergyFold::new(start), PowerTrace::new(start));
+    let mut w = rng.uniform(0.0, 2500.0);
+    for i in 0..pushes {
+        w = watts(rng, w);
+        let dur = if rng.bool(0.1) { 0.0 } else { duration(rng) };
+        fold.push(dur, w);
+        trace.push(dur, w);
+        assert_eq!(fold.end().to_bits(), trace.end().to_bits(), "end after push {i}");
+        assert_eq!(
+            fold.energy().to_bits(),
+            trace.energy().to_bits(),
+            "energy after push {i}"
+        );
+    }
+    trace
+}
+
 properties! {
+    fn tally_tracks_the_pushed_trace(rng) {
+        let pushes = usize_in(rng, 0, 200);
+        push_both(rng, pushes);
+    }
+
+    fn tally_tracks_the_pushed_trace_past_512_segments(rng) {
+        let pushes = usize_in(rng, 800, 1600);
+        let trace = push_both(rng, pushes);
+        assert!(trace.len() > 512, "{} segments", trace.len());
+    }
+
     fn fold_matches_sum_on_offset_and_gapped_traces(rng) {
         // Starts spread over 40 s, so some domains overlap and some leave
         // a gap between them; a shared start forces tied breakpoints.

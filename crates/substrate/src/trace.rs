@@ -560,6 +560,19 @@ impl Drop for LocalBinding {
     }
 }
 
+/// Run `f` with no session bound to this thread, so nothing it does
+/// records, and restore the thread's binding when `f` returns or unwinds.
+/// For work whose events the trace already holds: the §III-B protocol's
+/// read-out of the repeat it chose.
+pub fn untraced<R>(f: impl FnOnce() -> R) -> R {
+    let _restore = LocalBinding {
+        prev: LOCAL_REC.with(|l| l.borrow_mut().take()),
+        _not_send: PhantomData,
+    };
+    LOCAL_ACTIVE.with(|c| c.set(false));
+    f()
+}
+
 /// RAII guard for an open span. Closes (emits the Exit event) on drop.
 ///
 /// Deliberately `!Send`: a span measures an interval on one thread, and the
@@ -2046,6 +2059,42 @@ mod tests {
 
         assert_eq!(report.marks().len(), 1);
         assert_eq!(report.marks()[0].name, "tick");
+    }
+
+    #[test]
+    fn untraced_records_nothing_and_restores_the_binding() {
+        let s = session(256);
+        let mut outer = span!("outer");
+        let bound_inside = untraced(|| {
+            let mut g = span!("hidden", n = 1u64);
+            g.record("x", 2u64);
+            counter("hidden.count", 1);
+            gauge("hidden.gauge", 1.0);
+            histogram("hidden.hist", 1.0);
+            mark("hidden.mark");
+            enabled()
+        });
+        assert!(!bound_inside, "no session is bound inside");
+        assert!(enabled(), "the binding is back after a return");
+        let unwound = std::panic::catch_unwind(|| untraced(|| -> u8 { panic!("inside") }));
+        assert!(unwound.is_err());
+        assert!(enabled(), "the binding is back after an unwind");
+        {
+            let _inner = span!("inner");
+            counter("after.count", 1);
+        }
+        outer.record("done", true);
+        drop(outer);
+        let report = s.finish();
+        assert!(report.well_formed().is_ok(), "{:?}", report.well_formed());
+        let spans = report.spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["outer", "inner"]);
+        assert_eq!(spans[1].parent, Some(spans[0].id), "nesting survives");
+        assert!(report.marks().is_empty());
+        assert_eq!(report.counters.keys().copied().collect::<Vec<_>>(), ["after.count"]);
+        assert!(report.gauges.is_empty());
+        assert!(report.histograms.is_empty());
     }
 
     #[test]

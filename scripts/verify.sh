@@ -73,12 +73,28 @@ echo "==> golden repro: full stdout must equal repro_reference_output.txt"
 # stdout carries no wall-clock lines (those go to stderr) and is
 # byte-stable from run to run; an intended output change re-blesses the
 # file and says so in CHANGES.md.
-./target/release/repro > "$ROOT/target/verify_repro.out" 2>/dev/null || {
+./target/release/repro > "$ROOT/target/verify_repro.out" 2> "$ROOT/target/verify_repro.err" || {
+    cat "$ROOT/target/verify_repro.err" >&2
     echo "verify: FAIL — repro exited non-zero" >&2
     exit 1
 }
 diff -u "$ROOT/repro_reference_output.txt" "$ROOT/target/verify_repro.out" >&2 || {
     echo "verify: FAIL — repro stdout differs from repro_reference_output.txt" >&2
+    exit 1
+}
+
+echo "==> repro wall: the full run must finish inside 7 s"
+# Median 1.35 s over 6 runs (1.0-1.6 s) on the 2-vCPU VM; the ceiling is
+# ~5x that, because the same host has read 3.5x swings between runs.
+REPRO_WALL=$(sed -n 's/^\[all sections done in \([0-9.]*\)s wall\]$/\1/p' \
+    "$ROOT/target/verify_repro.err")
+[ -n "$REPRO_WALL" ] || {
+    echo "verify: FAIL — repro printed no '[all sections done in X s wall]' line" >&2
+    exit 1
+}
+echo "    full repro: ${REPRO_WALL} s wall"
+awk -v w="$REPRO_WALL" 'BEGIN { exit !(w <= 7.0) }' || {
+    echo "verify: FAIL — full repro took ${REPRO_WALL} s, above the 7 s ceiling" >&2
     exit 1
 }
 

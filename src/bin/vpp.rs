@@ -1176,8 +1176,8 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
 }
 
 /// Parse a human duration: a non-negative number with an optional
-/// `s`/`m`/`h` suffix (bare numbers are seconds). `0` (any suffix)
-/// means "no TTL" and maps to `None`.
+/// `s`/`m`/`h` suffix (bare numbers are seconds), at most
+/// `Duration::MAX`. `0` (any suffix) means "no TTL" and maps to `None`.
 fn parse_duration(raw: &str) -> Result<Option<Duration>, String> {
     let (digits, scale_s) = match raw.strip_suffix(['s', 'm', 'h']) {
         Some(num) => {
@@ -1199,7 +1199,12 @@ fn parse_duration(raw: &str) -> Result<Option<Duration>, String> {
     if n == 0.0 {
         return Ok(None);
     }
-    Ok(Some(Duration::from_secs_f64(n * scale_s)))
+    Duration::try_from_secs_f64(n * scale_s)
+        .map(Some)
+        .map_err(|_| {
+            let max_s = Duration::MAX.as_secs();
+            format!("duration must be at most {max_s} s, got '{raw}'")
+        })
 }
 
 /// Run the (optional) benchmark under the observability endpoint, then

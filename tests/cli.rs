@@ -175,6 +175,24 @@ fn node_count_outside_1_to_128_is_rejected_before_any_run() {
 }
 
 #[test]
+fn job_ttl_beyond_the_longest_duration_is_rejected_before_any_bind() {
+    // `Duration::from_secs_f64` panics on these (exit 101); the last one
+    // overflows to infinity only once scaled to seconds.
+    for ttl in ["1e20s", "1e20", "1e300h", "1e307m"] {
+        let args = ["serve", "--metrics-port", "0", "--job-ttl", ttl];
+        let out = vpp().args(args).output().expect("vpp runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--job-ttl {ttl}: {err}");
+        assert!(
+            err.contains("--job-ttl: duration must be at most 18446744073709551615 s"),
+            "--job-ttl {ttl}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one error line: {err}");
+        assert!(out.stdout.is_empty(), "--job-ttl {ttl} bound a port");
+    }
+}
+
+#[test]
 fn every_subcommand_prints_generated_usage_on_help() {
     let commands: &[&[&str]] = &[
         &["list"],
