@@ -1,99 +1,11 @@
-//! Campaign-scale DES throughput: the calendar event queue against the
-//! retained binary-heap reference, and end-to-end power-cap campaigns of
-//! thousands of heterogeneous jobs under each policy.
-//!
-//! `des_throughput_1e6` is the PR's acceptance comparison: schedule and
-//! drain one million uniformly distributed events through both engines.
-//! The heap pays an O(log n) sift per operation on a cache-hostile array;
-//! the ladder pays an O(1) unsorted append and amortised batch
-//! scatter/sort work, so the ratio widens as the pending set grows.
-//! `des_hold_1e6` is the classic hold model (pop one, push one slightly
-//! ahead, pending pinned at 10⁶): the steady-state figure, with no
-//! fill/drain edge effects in either direction.
+//! End-to-end power-cap campaigns of thousands of heterogeneous jobs
+//! under each policy: the partitioned engine, and the site-coupled
+//! engine under contention.
 
 use std::hint::black_box;
 use vpp_powercap::policy::{ClassAware, SweetSpot, Uncapped};
 use vpp_powercap::{campaign, CampaignSpec, CapPolicy, TcoAware};
-use vpp_sim::des::reference::HeapQueue;
-use vpp_sim::{EventQueue, Rng};
 use vpp_substrate::Harness;
-
-const PENDING: usize = 1_000_000;
-
-/// Pre-generated timestamps so neither engine's figure includes the RNG.
-fn timestamps(n: usize) -> Vec<f64> {
-    let mut rng = Rng::new(42);
-    (0..n).map(|_| rng.uniform(0.0, 1e6)).collect()
-}
-
-fn bench_des_throughput(h: &mut Harness) {
-    let at = timestamps(PENDING);
-    h.compare(
-        "des_throughput_1e6",
-        || {
-            let mut q: HeapQueue<u32> = HeapQueue::new();
-            for (i, &t) in black_box(&at).iter().enumerate() {
-                q.schedule(t, i as u32);
-            }
-            let mut n = 0u64;
-            while q.next().is_some() {
-                n += 1;
-            }
-            n
-        },
-        || {
-            let mut q: EventQueue<u32> = EventQueue::new();
-            for (i, &t) in black_box(&at).iter().enumerate() {
-                q.schedule(t, i as u32);
-            }
-            let mut n = 0u64;
-            while q.next().is_some() {
-                n += 1;
-            }
-            n
-        },
-    );
-}
-
-/// Pairs per timed call of the hold-model closures.
-const HOLD_PAIRS: usize = 100_000;
-
-fn bench_des_hold(h: &mut Harness) {
-    // Pre-generated increments so neither leg's figure includes the RNG;
-    // both queues consume the identical sequence.
-    let inc: Vec<f64> = {
-        let mut rng = Rng::new(9);
-        (0..8192).map(|_| rng.uniform(0.0, 2.0)).collect()
-    };
-    let at = timestamps(PENDING);
-    let mut heap: HeapQueue<u32> = HeapQueue::new();
-    let mut cal: EventQueue<u32> = EventQueue::new();
-    for (i, &t) in at.iter().enumerate() {
-        heap.schedule(t % 2.0, i as u32);
-        cal.schedule(t % 2.0, i as u32);
-    }
-    let (mut hk, mut ck) = (0usize, 0usize);
-    let inc2 = inc.clone();
-    h.compare(
-        "des_hold_1e6",
-        move || {
-            for _ in 0..HOLD_PAIRS {
-                let (t, e) = heap.next().expect("queue pinned at PENDING");
-                heap.schedule(t + inc[hk & 8191], e);
-                hk += 1;
-            }
-            black_box(heap.len())
-        },
-        move || {
-            for _ in 0..HOLD_PAIRS {
-                let (t, e) = cal.next().expect("queue pinned at PENDING");
-                cal.schedule(t + inc2[ck & 8191], e);
-                ck += 1;
-            }
-            black_box(cal.len())
-        },
-    );
-}
 
 /// The acceptance campaign: 2000 seeded jobs over the default 8-partition
 /// machine, one entry per policy, sharded across the substrate pool.
@@ -130,8 +42,6 @@ fn bench_campaign_site(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::new("campaign");
-    bench_des_throughput(&mut h);
-    bench_des_hold(&mut h);
     bench_campaign(&mut h);
     bench_campaign_site(&mut h);
     h.finish();

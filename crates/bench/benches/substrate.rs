@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the simulation substrate's hot paths: trace algebra,
-//! the event queue, sampling, KDE/mode extraction, and plan lowering.
+//! sampling, KDE/mode extraction, and plan lowering.
 //!
 //! The `*_before_after` entries pit the superseded algorithms (kept in
 //! `vpp_sim::trace::reference` and `Kde::grid_exact`) against the shipping
@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use vpp_sim::trace::reference;
-use vpp_sim::{EventQueue, PowerTrace, Rng};
+use vpp_sim::{PowerTrace, Rng};
 use vpp_stats::kde::{Bandwidth, Kde};
 use vpp_substrate::Harness;
 use vpp_telemetry::Sampler;
@@ -60,19 +60,6 @@ fn bench_trace_ops(h: &mut Harness) {
         || reference::sum_cut_union(black_box(&refs)).len(),
         || PowerTrace::sum(black_box(&refs)).len(),
     );
-}
-
-fn bench_event_queue(h: &mut Harness) {
-    h.bench("event_queue_10k_schedule_drain", || {
-        let mut q = EventQueue::new();
-        let mut rng = Rng::new(3);
-        for i in 0..10_000 {
-            q.schedule(rng.uniform(0.0, 1e6), i);
-        }
-        let mut n = 0;
-        q.drain(|_, _| n += 1);
-        n
-    });
 }
 
 fn bench_sampling(h: &mut Harness) {
@@ -222,7 +209,6 @@ fn bench_serve(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("substrate");
     bench_trace_ops(&mut h);
-    bench_event_queue(&mut h);
     bench_sampling(&mut h);
     bench_stats(&mut h);
     bench_plan_lowering(&mut h);

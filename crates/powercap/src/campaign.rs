@@ -780,6 +780,24 @@ mod tests {
         assert!(out.merged.makespan_s >= free.merged.makespan_s - 1e-9);
     }
 
+    #[test]
+    fn site_engine_schedules_and_delivers_each_job_once() {
+        let spec = CampaignSpec {
+            site_budget_w: Some(0.6 * 4.0 * 40_000.0),
+            partitions: 4,
+            ..CampaignSpec::new(300, 7)
+        };
+        for (name, policy) in contention_policies() {
+            let session = trace::session(1 << 12);
+            let out = run(&spec, policy, spec.partitions);
+            let report = session.finish();
+            assert!(out.backfilled > 0, "{name}: the site engine ran contended");
+            for counter in ["des.scheduled", "des.delivered"] {
+                assert_eq!(report.counters.get(counter), Some(&300), "{name}: {counter}");
+            }
+        }
+    }
+
     fn reference_free_spec() -> CampaignSpec {
         CampaignSpec {
             partitions: 4,

@@ -8,8 +8,9 @@
 //!   §VI: classify jobs by workload type, cap VASP-like jobs at 50 % TDP
 //!   (which costs <10 % performance), and reallocate the spared power to
 //!   admit more jobs under a fixed system power budget, deciding within
-//!   30-second scheduling cycles. One event-driven loop on the calendar
-//!   queue serves a single partition and a whole coupled site alike.
+//!   30-second scheduling cycles. One event-driven loop, waking only when
+//!   a finish is due or an arrival has passed, serves a single partition
+//!   and a whole coupled site alike.
 //! * [`policy`] — the [`CapPolicy`] trait every scheduling path asks once
 //!   per job: uncapped, fixed, class-aware, sweet-spot and the TCO-priced
 //!   [`TcoAware`] policy, all able to observe the shared site ledger at

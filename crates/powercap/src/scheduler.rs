@@ -11,20 +11,22 @@
 //! One event loop serves every scheduling path: [`Scheduler::run_with`]
 //! runs it over one partition with an unbounded site ledger, and
 //! [`crate::site::run_site`] over N partitions sharing one
-//! [`SiteBudget`] with global backfill. Job finishes live in a
-//! [`vpp_sim::EventQueue`] and the full admission pass (retire finished
-//! jobs, re-derive free nodes/power, scan the waiting jobs) runs only at
-//! wakes where the admission state can actually change — a finish is due
-//! or a queued job's arrival has passed. Cycle boundaries in between cost
-//! O(1): the held system power is integrated over the interval and the
-//! clock steps on. Admission itself stays quantised to the paper's cycle
-//! boundaries, so the event-driven engine reproduces the superseded
-//! fixed-cycle polling loop *exactly*; that loop is kept as a test oracle
-//! and a property test demands `ScheduleOutcome` equality (spans, peak,
-//! integral) between the two on random queues.
+//! [`SiteBudget`] with global backfill. Job finishes live in the running
+//! set itself, beside a cached earliest finish, and the full admission
+//! pass (retire finished jobs, re-derive free nodes/power, scan the
+//! waiting jobs) runs only at wakes where the admission state can
+//! actually change — a finish is due or a queued job's arrival has
+//! passed. Cycle boundaries in between cost O(1): the held system power
+//! is integrated over the interval and the clock steps on. Admission
+//! itself stays quantised to the paper's cycle boundaries, so the
+//! event-driven engine reproduces the superseded fixed-cycle polling loop
+//! *exactly*; that loop is kept as a test oracle and a property test
+//! demands `ScheduleOutcome` equality (spans, peak, integral) between the
+//! two on random queues.
 
 use crate::policy::{CapPolicy, PolicyCtx, SiteView};
 use crate::site::{SiteBudget, SiteRun};
+use vpp_substrate::trace;
 
 /// Workload classes the scheduler can recognise from job inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -303,9 +305,12 @@ impl Scheduler {
         let mut waiting: Vec<Waiting> = Vec::new();
         let mut min_w = f64::INFINITY;
         let mut running: Vec<Running> = Vec::new();
+        // The earliest finish in `running` (infinite when it is empty):
+        // re-folded over the survivors at each retire pass and lowered at
+        // each admission, so a wake costs no scan of the running set.
+        let mut next_finish = f64::INFINITY;
         let mut used_nodes = vec![0usize; partitions];
         let mut used_w = vec![0.0f64; partitions];
-        let mut finishes: vpp_sim::EventQueue<u64> = vpp_sim::EventQueue::new();
         let mut spans: Vec<(u64, f64, f64)> = Vec::with_capacity(queue.len());
         let mut t = 0.0;
         let mut peak = 0.0f64;
@@ -318,15 +323,16 @@ impl Scheduler {
 
         loop {
             if admit {
-                // Retire due finishes (the queue delivers them in time
-                // order; the running list keeps span bookkeeping).
-                while finishes.next_before(t + 1e-9).is_some() {}
+                // Retire due finishes; the survivors hold the next one.
+                next_finish = f64::INFINITY;
                 running.retain(|r| {
                     if r.finish <= t + 1e-9 {
                         spans.push((r.id, r.start, r.finish));
                         site.release(r.power_w);
+                        trace::counter("des.delivered", 1);
                         false
                     } else {
+                        next_finish = next_finish.min(r.finish);
                         true
                     }
                 });
@@ -395,7 +401,12 @@ impl Scheduler {
                     placement[w.qi] = p;
                     backfilled += usize::from(p != w.home);
                     let (id, finish) = (queue[w.qi].id, t + demand[w.qi].0);
-                    finishes.schedule(finish, id);
+                    assert!(
+                        finish.is_finite() && finish >= t,
+                        "job {id} finishes at {finish}, not a finite time from its start {t}"
+                    );
+                    next_finish = next_finish.min(finish);
+                    trace::counter("des.scheduled", 1);
                     running.push(Running {
                         id,
                         start: t,
@@ -419,7 +430,11 @@ impl Scheduler {
 
             // Advance: next cycle boundary, next finish, or — when idle —
             // the next arrival, whichever comes first.
-            let next_finish = finishes.earliest_time().unwrap_or(f64::INFINITY);
+            debug_assert_eq!(
+                next_finish,
+                running.iter().map(|r| r.finish).fold(f64::INFINITY, f64::min),
+                "the cached earliest finish disagrees with the running set"
+            );
             let next_arrival = arrival_order
                 .get(cursor)
                 .map_or(f64::INFINITY, |&qi| queue[qi].arrival_s);
@@ -824,6 +839,14 @@ mod tests {
     fn impossible_job_panics() {
         let s = Scheduler::new(4, 1000.0);
         let _ = s.run_with(&[job(1, WorkloadClass::PowerHungry, 4, 100.0)], &Uncapped);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a finite time")]
+    fn non_finite_runtime_panics_instead_of_spinning() {
+        // A finish that never comes due would hold the loop forever.
+        let s = Scheduler::new(4, 10_000.0);
+        let _ = s.run_with(&[job(1, WorkloadClass::Light, 1, f64::INFINITY)], &Uncapped);
     }
 
     #[test]

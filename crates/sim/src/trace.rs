@@ -379,12 +379,6 @@ impl PowerTrace {
         self.watts.iter().copied().reduce(f64::max)
     }
 
-    /// Minimum segment power; `None` for empty traces.
-    #[must_use]
-    pub fn min_power(&self) -> Option<f64> {
-        self.watts.iter().copied().reduce(f64::min)
-    }
-
     /// Shift the whole trace by `dt` seconds (positive = later).
     pub fn shift(&mut self, dt: f64) {
         assert!(dt.is_finite());

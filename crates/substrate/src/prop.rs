@@ -124,13 +124,6 @@ pub fn segments(rng: &mut Rng, len_lo: usize, len_hi: usize) -> Vec<(f64, f64)> 
         .collect()
 }
 
-/// String of `len in 0..max_len` characters drawn from `charset`.
-#[must_use]
-pub fn string_of(rng: &mut Rng, charset: &[char], max_len: usize) -> String {
-    let n = rng.index(max_len + 1);
-    (0..n).map(|_| charset[rng.index(charset.len())]).collect()
-}
-
 /// Printable-ASCII string (the `[ -~]` class), `len in 0..max_len`.
 #[must_use]
 pub fn printable_string(rng: &mut Rng, max_len: usize) -> String {

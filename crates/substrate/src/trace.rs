@@ -72,7 +72,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -943,11 +943,6 @@ pub fn histogram_count(name: &'static str, value: f64, n: u64) {
     observe(name, value, n, || default_bounds(name));
 }
 
-/// [`histogram_count`] with explicit static bucket bounds.
-pub fn histogram_count_with(name: &'static str, value: f64, n: u64, bounds: &'static [f64]) {
-    observe(name, value, n, || bounds);
-}
-
 /// Record `n` observations into the bound session's histogram `name`.
 /// The bucket table is only resolved the first time the session records
 /// that metric, so with no session bound this costs one thread-local read.
@@ -987,7 +982,7 @@ macro_rules! histogram {
 /// Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
-    /// Diagnostic chatter, admitted only when the journal level allows.
+    /// Diagnostic chatter, below the journal's admission level: filtered.
     Debug = 0,
     /// Routine service events.
     Info = 1,
@@ -1102,33 +1097,24 @@ static JOURNAL: Mutex<JournalInner> = Mutex::new(JournalInner {
 
 /// Records below this severity are filtered at admission (not counted as
 /// drops — they were never eligible).
-static LOG_LEVEL: AtomicU8 = AtomicU8::new(LogLevel::Info as u8);
+const LOG_LEVEL: LogLevel = LogLevel::Info;
 
 /// The journal's time origin, pinned at first use.
 static LOG_EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Current journal admission level.
+/// The journal's admission level.
 #[must_use]
 pub fn log_level() -> LogLevel {
-    let raw = LOG_LEVEL.load(Ordering::Relaxed);
-    LogLevel::ALL
-        .into_iter()
-        .find(|l| *l as u8 == raw)
-        .unwrap_or(LogLevel::Info)
+    LOG_LEVEL
 }
 
-/// Set the journal admission level (process-wide).
-pub fn set_log_level(level: LogLevel) {
-    LOG_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// Whether a record at `level` would currently be admitted — the cheap
-/// guard the [`log_event!`](crate::log_event) macro checks before
-/// building the message and fields.
+/// Whether a record at `level` would be admitted — the cheap guard the
+/// [`log_event!`](crate::log_event) macro checks before building the
+/// message and fields.
 #[inline]
 #[must_use]
 pub fn log_enabled(level: LogLevel) -> bool {
-    level as u8 >= LOG_LEVEL.load(Ordering::Relaxed)
+    level >= LOG_LEVEL
 }
 
 /// Append a record to the journal. Admission takes one short lock: the
@@ -2825,7 +2811,7 @@ mod tests {
             .iter()
             .filter(|r| r.target == "test.dense")
             .collect();
-        // Debug is below the default Info admission level: never admitted.
+        // Debug is below the Info admission level: never admitted.
         assert_eq!(mine.len(), 2);
         assert_eq!(mine[0].message, "one");
         assert_eq!(mine[1].level, LogLevel::Warn);

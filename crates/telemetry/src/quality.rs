@@ -123,14 +123,6 @@ impl QualityConfig {
         self.stuck_run_min = usize::MAX;
         self
     }
-
-    /// Override the plausible-value band.
-    #[must_use]
-    pub fn with_plausible_band(mut self, min_w: f64, max_w: f64) -> Self {
-        self.min_plausible_w = min_w;
-        self.max_plausible_w = max_w;
-        self
-    }
 }
 
 /// What the quarantine did to one raw series: every removed or repaired

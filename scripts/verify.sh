@@ -110,7 +110,7 @@ VPP_BENCH_SMOKE=1 VPP_BENCH_OUT="$BENCH_OUT" \
     cargo bench -q --offline -p vpp-bench
 
 echo "==> smoke bench comparisons:"
-grep -A4 -E '"name": "(.*_before_after|des_.*)"' "$BENCH_OUT" \
+grep -A4 -E '"name": ".*_before_after"' "$BENCH_OUT" \
     | grep -E '"name"|"speedup"|"drift"' || true
 
 echo "==> Harness::compare drift bound (worse first/second-half shift of either leg)"
@@ -127,19 +127,6 @@ else
     echo "verify: FAIL — no comparison in the smoke bench report carries a drift bound" >&2
     exit 1
 fi
-
-echo "==> DES acceptance: calendar queue >= 3x heap at 1e6 pending (measured ~8x; floor guards regressions through CI noise)"
-DES_SPEEDUP=$(grep -A4 '"name": "des_throughput_1e6"' "$BENCH_OUT" \
-    | sed -n 's/.*"speedup": \([0-9.eE+-]*\).*/\1/p' | head -n 1)
-[ -n "$DES_SPEEDUP" ] || {
-    echo "verify: FAIL — des_throughput_1e6 comparison missing from the smoke bench report" >&2
-    exit 1
-}
-awk -v s="$DES_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }' || {
-    echo "verify: FAIL — des_throughput_1e6 speedup $DES_SPEEDUP below the 3x floor" >&2
-    exit 1
-}
-echo "    des_throughput_1e6 speedup: ${DES_SPEEDUP}x"
 
 echo "==> serve floor: one kept-alive GET /healthz round trip <= 5 ms (measured ~0.04 ms; ~44 ms when a reply waits on Nagle + delayed ACK)"
 SERVE_RTT_NS=$(grep -A1 '"name": "serve_keepalive_healthz"' "$BENCH_OUT" \

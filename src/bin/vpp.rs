@@ -70,7 +70,7 @@ use vasp_power_profiles::cluster::{execute, JobResult, JobSpec, NetworkModel, St
 use vasp_power_profiles::core::{benchmarks, flight, protocol, ProtocolJobHandler};
 use vasp_power_profiles::dft::{parse_incar, parse_kpoints, parse_poscar, PhaseKind};
 use vasp_power_profiles::powercap::policy::FixedCap;
-use vasp_power_profiles::powercap::{campaign, CampaignSpec, CapPolicy, TcoAware};
+use vasp_power_profiles::powercap::{campaign, CampaignSpec, CapPolicy, SiteBudget, TcoAware};
 use vasp_power_profiles::stats::{trace_diff, DiffConfig, Segmenter};
 use vasp_power_profiles::substrate::bench::{
     load_baseline, store_baseline, TraceBaseline, BASELINE_GROUP,
@@ -834,6 +834,21 @@ fn cmd_campaign(p: &Parsed) -> Result<(), String> {
         match name {
             "tco" | "tco_aware" => policies.push(("tco_aware".into(), &TcoAware::DEFAULT)),
             other => return Err(format!("unknown --policy '{other}'; known: tco")),
+        }
+    }
+    if let Some(budget) = spec.site_budget_w {
+        // No policy draws more than a job's uncapped power, so an envelope
+        // that fits the hungriest job uncapped can start every job.
+        let hungriest_w = spec
+            .generate()
+            .iter()
+            .map(|j| j.response.uncapped().1 * j.nodes as f64)
+            .fold(0.0, f64::max);
+        if !SiteBudget::new(budget).fits(hungriest_w) {
+            return Err(format!(
+                "--site-budget {budget} W is below the largest uncapped job draw, \
+                 {hungriest_w:.1} W: that job could never start"
+            ));
         }
     }
     println!(

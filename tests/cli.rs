@@ -175,6 +175,29 @@ fn node_count_outside_1_to_128_is_rejected_before_any_run() {
 }
 
 #[test]
+fn site_budget_below_the_hungriest_uncapped_job_is_rejected_before_any_run() {
+    // Unchecked, the uncapped baseline row can never start that job and
+    // the engine panics with "scheduler stalled".
+    let hungriest_w = vasp_power_profiles::powercap::CampaignSpec::new(10, 7)
+        .generate()
+        .iter()
+        .map(|j| j.response.uncapped().1 * j.nodes as f64)
+        .fold(0.0, f64::max);
+    for budget in ["1", "500", "2000"] {
+        let args = ["campaign", "--jobs", "10", "--seed", "7", "--site-budget", budget];
+        let out = vpp().args(args).output().expect("vpp runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "vpp {args:?}: {err}");
+        assert!(
+            err.contains("--site-budget") && err.contains(&format!("{hungriest_w:.1} W")),
+            "vpp {args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one error line: {err}");
+        assert!(out.stdout.is_empty(), "vpp {args:?} printed a table");
+    }
+}
+
+#[test]
 fn job_ttl_beyond_the_longest_duration_is_rejected_before_any_bind() {
     // `Duration::from_secs_f64` panics on these (exit 101); the last one
     // overflows to infinity only once scaled to seconds.

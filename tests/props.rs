@@ -3,7 +3,7 @@
 //! on the deterministic simulation RNG.
 
 use vasp_power_profiles::gpu::{Gpu, Kernel, KernelKind};
-use vasp_power_profiles::sim::{EventQueue, PowerTrace};
+use vasp_power_profiles::sim::PowerTrace;
 use vasp_power_profiles::stats;
 use vasp_power_profiles::telemetry::Sampler;
 use vpp_substrate::prop::{segments, usize_in, vec_f64};
@@ -174,19 +174,6 @@ properties! {
             gpu.set_power_limit(cap);
             let capped = gpu.execute(&kernel).duration_s;
             assert!(capped >= base - 1e-12, "{kind:?} sped up under a cap");
-        }
-    }
-
-    fn event_queue_delivers_sorted(rng) {
-        let times = vec_f64(rng, 0.0, 1e6, 1, 200);
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut last = f64::NEG_INFINITY;
-        while let Some((t, _)) = q.next() {
-            assert!(t >= last);
-            last = t;
         }
     }
 
